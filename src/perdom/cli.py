@@ -40,8 +40,12 @@ def _parse_g(args) -> slopes.SlopeFunction:
     if not spec:
         raise ConfigError("a slope function is required (--g or --drinfeld)")
     if spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            return slopes.parse_g_config(json.load(fh))
+        try:
+            with open(spec[1:], "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read a slope config from {spec[1:]!r}: {exc}") from exc
+        return slopes.parse_g_config(config)
     try:
         values = [Fraction(part.strip()) for part in spec.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError) as exc:
@@ -82,6 +86,21 @@ def _budget(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad {ENV_BUDGET} value {env!r}") from exc
     return flagenum.DEFAULT_BUDGET
+
+
+def _worker_count(jobs: int, tasks: int) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
+
+
+def _map_jobs(fn, tasks, jobs: int) -> list:
+    """fn over tasks, in order, on min(jobs, #tasks, #cpus) worker processes."""
+    workers = _worker_count(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
 
 
 def _emit_json(payload, path: str | None):
@@ -163,12 +182,7 @@ def cmd_zeta(args) -> int:
     family = slopes.parse_family(args.family)
     ns = _parse_n_range(args.n) or (1,)
     budget = _budget(args)
-    tasks = [(g, family, args.q, n, budget) for n in ns]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_zeta_one, tasks))
-    else:
-        rows = [_zeta_one(t) for t in tasks]
+    rows = _map_jobs(_zeta_one, [(g, family, args.q, n, budget) for n in ns], args.jobs)
     ok = True
     for row in rows:
         match = (
@@ -240,7 +254,10 @@ def cmd_kcomplex(args) -> int:
     d = _resolve_d(args)
     q = args.q
     if args.i0:
-        gens = [int(x) for x in args.i0.split(",") if x.strip()]
+        try:
+            gens = [int(x) for x in args.i0.split(",") if x.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
         subsets = [ParabolicType.from_gens(d, gens)]
     else:
         subsets = [p for p in _all_parabolic_subsets(d) if not p.is_full]
@@ -249,12 +266,7 @@ def cmd_kcomplex(args) -> int:
         subsets = [p for p in subsets if _corruptible(p)]
         if not subsets:
             raise ConfigError("the sign-corruption hook needs a complex with two differentials")
-    tasks = [(ptype, q, signs) for ptype in subsets]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_kcomplex_one, tasks))
-    else:
-        reports = [_kcomplex_one(t) for t in tasks]
+    reports = _map_jobs(_kcomplex_one, [(ptype, q, signs) for ptype in subsets], args.jobs)
     ok = True
     for rep in reports:
         ok = ok and rep.passed
@@ -336,10 +348,14 @@ def cmd_verify_all(args) -> int:
 
     # coset/subfunction bijection with order reversal
     ok = True
-    for d in _suite_dims(quick):
-        for g in _suite_slope_functions(d):
-            for i in range(1, d):
-                slopes.kappa(i, g.mu)  # raises on failure
+    try:
+        for d in _suite_dims(quick):
+            for g in _suite_slope_functions(d):
+                for i in range(1, d):
+                    slopes.kappa(i, g.mu)  # raises on failure
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        ok = False
     check("prefix-map bijection and order reversal", ok)
 
     # parabolic monotonicity along left multiplication, and the length bound
@@ -372,10 +388,14 @@ def cmd_verify_all(args) -> int:
 
     # representation dimensions, two routes
     ok = True
-    for d in _suite_dims(quick):
-        for q in qs:
-            for ptype in _all_parabolic_subsets(d):
-                coh.check_dim_v(ptype, q)  # raises on mismatch
+    try:
+        for d in _suite_dims(quick):
+            for q in qs:
+                for ptype in _all_parabolic_subsets(d):
+                    coh.check_dim_v(ptype, q)  # raises on mismatch
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        ok = False
     check("Steinberg dimensions agree across both routes", ok)
 
     # induction complexes
@@ -438,7 +458,8 @@ def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False, job
         sub.add_argument("--budget", type=int,
                          help=f"work budget (default {flagenum.DEFAULT_BUDGET}, env {ENV_BUDGET})")
     if jobs:
-        sub.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="parallel worker processes (at most one per task and CPU)")
     sub.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-import numpy as np
-
 from .errors import ConfigError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
@@ -78,12 +76,8 @@ def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tu
 def pullback_matrix(fine: ParabolicType, coarse: ParabolicType, q: int) -> MatrixQ:
     """Matrix of (functions on G/P_coarse) -> (functions on G/P_fine)."""
     proj = projection_indices(fine, coarse, q)
-    nrows = len(coset_space(fine, q))
-    ncols = len(coset_space(coarse, q))
-    rows = [[0] * ncols for _ in range(nrows)]
-    for x, y in enumerate(proj):
-        rows[x][y] = 1
-    return MatrixQ.from_rows(rows, cols=ncols)
+    rows = tuple({y: 1} for y in proj)
+    return MatrixQ(len(rows), len(coset_space(coarse, q)), rows)
 
 
 def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
@@ -93,16 +87,14 @@ def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
     missing = parabolic.complement()
     if not missing:
         return 0
-    fine_size = len(coset_space(parabolic, q))
-    blocks = []
+    rows = []
     for s in missing:
         coarse = parabolic.union((s,))
-        proj = projection_indices(parabolic, coarse, q)
-        block = np.zeros((len(coset_space(coarse, q)), fine_size), dtype=np.int64)
-        for x, y in enumerate(proj):
-            block[y, x] = 1
-        blocks.append(block)
-    return rational_rank(np.concatenate(blocks, axis=0))
+        block = [{} for _ in range(len(coset_space(coarse, q)))]
+        for x, y in enumerate(projection_indices(parabolic, coarse, q)):
+            block[y][x] = 1
+        rows.extend(block)
+    return rational_rank(rows)
 
 
 # -- the induction complex ----------------------------------------------------
@@ -141,7 +133,7 @@ def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ
         src_sizes, tgt_sizes = sizes[p], sizes[p + 1]
         src_off = _offsets(src_sizes)
         tgt_off = _offsets(tgt_sizes)
-        mat = [[0] * dims[p] for _ in range(dims[p + 1])]
+        mat = [{} for _ in range(dims[p + 1])]
         tgt_index = {t: j for j, t in enumerate(tgt_layer)}
         for si, t_src in enumerate(src_layer):
             src_parabolic = _parabolic_from_missing(d, t_src)
@@ -158,13 +150,12 @@ def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ
                 if t_src:
                     block = pullback_matrix(tgt_parabolic, src_parabolic, q).entries
                 else:
-                    block = tuple((1,) for _ in range(len(coset_space(tgt_parabolic, q))))
+                    block = tuple({0: 1} for _ in range(len(coset_space(tgt_parabolic, q))))
                 r0, c0 = tgt_off[ti], src_off[si]
                 for r, row in enumerate(block):
-                    for c, val in enumerate(row):
-                        if val:
-                            mat[r0 + r][c0 + c] = sign * val
-        maps.append(MatrixQ.from_rows(mat, cols=dims[p]))
+                    for c, val in row.items():
+                        mat[r0 + r][c0 + c] = sign * val
+        maps.append(MatrixQ(dims[p + 1], dims[p], tuple(mat)))
     return chain_complex(-1, dims, maps)
 
 
@@ -267,14 +258,14 @@ def stalk_complex(sp: StalkPoset) -> ChainComplexQ | None:
     index = [{chain: i for i, chain in enumerate(level)} for level in levels]
     maps = []
     # augmentation: every vertex hits the empty simplex with coefficient 1
-    maps.append(MatrixQ.from_rows([[1] for _ in levels[0]], cols=1))
+    maps.append(MatrixQ(len(levels[0]), 1, tuple({0: 1} for _ in levels[0])))
     for p in range(1, len(levels)):
-        rows = [[0] * len(levels[p - 1]) for _ in range(len(levels[p]))]
-        for ci, chain in enumerate(levels[p]):
-            for j in range(len(chain)):
-                face = chain[:j] + chain[j + 1 :]
-                rows[ci][index[p - 1][face]] = -1 if j % 2 else 1
-        maps.append(MatrixQ.from_rows(rows, cols=len(levels[p - 1])))
+        faces = index[p - 1]
+        rows = tuple(
+            {faces[chain[:j] + chain[j + 1 :]]: -1 if j % 2 else 1 for j in range(len(chain))}
+            for chain in levels[p]
+        )
+        maps.append(MatrixQ(len(levels[p]), len(levels[p - 1]), rows))
     return chain_complex(-1, dims, maps)
 
 

@@ -6,7 +6,6 @@ from .rational import (
     ChainComplexQ,
     MatrixQ,
     chain_complex,
-    homology_dims,
     mat_mul_exact,
     rank_mod_prime,
     rational_rank,
@@ -18,8 +17,6 @@ from .subspaces import (
     mat_mul,
     rref,
     right_kernel,
-    subspace_intersect,
-    subspace_sum,
 )
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "ChainComplexQ",
     "MatrixQ",
     "chain_complex",
-    "homology_dims",
     "mat_mul_exact",
     "rank_mod_prime",
     "rational_rank",
@@ -44,6 +40,4 @@ __all__ = [
     "mat_mul",
     "rref",
     "right_kernel",
-    "subspace_intersect",
-    "subspace_sum",
 ]

@@ -190,9 +190,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return self.pow(a, self.order - 2)
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def is_extension_of(self, other: "FieldSpec") -> bool:
         return other.p == self.p and other.n == 1
 

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-rational_rank runs an integer Gaussian elimination (rows are cleared of
-denominators, then kept gcd-normalized), so every arithmetic step is exact.
-Rows live in int64 numpy arrays while their entries are provably small and
-fall back to Python big integers otherwise; no floating point anywhere.
+Matrices are stored as sparse rows, one dict {column: nonzero entry} per row
+with int or Fraction entries; MatrixQ.from_rows is the dense input boundary.
+rational_rank clears each row of denominators and runs a fraction-free
+elimination on gcd-normalized Python-int rows, so every arithmetic step is
+exact; no floating point anywhere.
 
 rank_mod_prime is the fast modular cross-check used by the test suite; it is
 a consistency probe, never the primary answer.
@@ -19,103 +20,68 @@ import numpy as np
 
 from ..errors import InternalCheckError
 
-_SAFE = 2**62
 _NP_LIMIT = 2**31
 
 
-def _to_int_row(row):
-    """Clear denominators and normalize by the gcd; returns list of ints."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        elif not isinstance(x, (int, np.integer)):
-            raise TypeError(f"matrix entries must be int or Fraction, got {type(x)}")
-    ints = [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _primitive(row: dict) -> dict:
+    """Clear denominators and divide by the gcd; returns a new int row."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    ints = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = math.gcd(*ints.values())
+    return {c: x // g for c, x in ints.items()} if g > 1 else ints
 
 
-def _row_max(row) -> int:
-    if isinstance(row, np.ndarray):
-        return int(np.max(np.abs(row))) if row.size else 0
-    return max((abs(x) for x in row), default=0)
-
-
-def _normalize(row):
-    """gcd-reduce; return int64 array when entries fit, else a list."""
-    if isinstance(row, np.ndarray):
-        g = int(np.gcd.reduce(np.abs(row)))
-        if g > 1:
-            row = row // g
-        return row
-    g = 0
-    for x in row:
-        g = math.gcd(g, x)
-    if g > 1:
-        row = [x // g for x in row]
-    if max((abs(x) for x in row), default=0) < _NP_LIMIT:
-        return np.array(row, dtype=np.int64)
+def _reduce(row: dict, pivot: dict, c: int) -> dict:
+    """Clear column c of row with pivot, fraction-free: row <- a*row - m*pivot."""
+    a, m = pivot[c], row[c]
+    if m % a == 0:
+        a, m = 1, m // a
+    else:
+        g = math.gcd(a, m)
+        a, m = a // g, m // g
+        row = {k: a * v for k, v in row.items()}
+    for k, v in pivot.items():
+        x = row.get(k, 0) - m * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+    if a != 1:
+        row = _primitive(row)
     return row
 
 
-def _combine(piv, row, f, pivot_row):
-    """row <- piv*row - f*pivot_row, exactly."""
-    both_np = isinstance(row, np.ndarray) and isinstance(pivot_row, np.ndarray)
-    if both_np:
-        bound = abs(piv) * _row_max(row) + abs(f) * _row_max(pivot_row)
-        if bound < _SAFE:
-            return _normalize(piv * row - f * pivot_row)
-    a = row.tolist() if isinstance(row, np.ndarray) else row
-    b = pivot_row.tolist() if isinstance(pivot_row, np.ndarray) else pivot_row
-    return _normalize([piv * x - f * y for x, y in zip(a, b)])
-
-
 def rational_rank(rows) -> int:
-    """Exact rank over Q of a matrix given as rows of ints or Fractions."""
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    work = []
-    for r in rows:
-        ints = _to_int_row(r)
-        if any(ints):
-            work.append(_normalize(ints))
-    if not work:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        cand = None
-        for i in range(rank, len(work)):
-            v = int(work[i][c])
-            if v != 0 and (cand is None or abs(v) < abs(cand[1])):
-                cand = (i, v)
-                if abs(v) == 1:
-                    break
-        if cand is None:
-            continue
-        i, piv = cand
-        work[rank], work[i] = work[i], work[rank]
-        pivot_row = work[rank]
-        for j in range(rank + 1, len(work)):
-            f = int(work[j][c])
-            if f:
-                work[j] = _combine(piv, work[j], f, pivot_row)
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    """Exact rank over Q of a matrix given as sparse rows {column: entry}.
+
+    Each row is reduced against the pivot rows by its leading column until
+    it vanishes or opens a new pivot column; a +-1 entry displaces a larger
+    pivot so that most eliminations need no scaling.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        row = _primitive(row)
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            if abs(row[c]) == 1 and abs(pivot[c]) != 1:
+                pivots[c], row, pivot = row, pivot, row
+            row = _reduce(row, pivot, c)
+    return len(pivots)
 
 
 def rank_mod_prime(rows, p: int) -> int:
-    """Rank over GF(p); a lower bound for the rational rank (cross-check)."""
+    """Rank over GF(p) of dense rows; a lower bound for the rational rank
+    (cross-check)."""
     if p >= _NP_LIMIT:
         raise ValueError("prime too large for the int64 modular elimination")
-    mat = [[int(x % p) for x in _to_int_row(r)] for r in rows]
+    mat = []
+    for r in rows:
+        ints = _primitive({j: x for j, x in enumerate(r) if x})
+        mat.append([ints.get(j, 0) % p for j in range(len(r))])
     mat = [r for r in mat if any(r)]
     if not mat:
         return 0
@@ -145,50 +111,48 @@ def rank_mod_prime(rows, p: int) -> int:
 
 @dataclass(frozen=True)
 class MatrixQ:
-    """Immutable exact matrix (entries int or Fraction)."""
+    """Immutable exact matrix as sparse rows {column: nonzero int or Fraction}."""
 
     rows: int
     cols: int
-    entries: tuple[tuple, ...]
+    entries: tuple[dict, ...]
 
     @classmethod
-    def from_rows(cls, entries, cols: int | None = None) -> "MatrixQ":
-        entries = tuple(tuple(r) for r in entries)
-        if entries:
-            cols = len(entries[0])
-            if any(len(r) != cols for r in entries):
+    def from_rows(cls, dense, cols: int | None = None) -> "MatrixQ":
+        """Build from dense rows of ints or Fractions."""
+        dense = [tuple(r) for r in dense]
+        if dense:
+            cols = len(dense[0])
+            if any(len(r) != cols for r in dense):
                 raise ValueError("ragged matrix")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
+        for r in dense:
+            for x in r:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"matrix entries must be int or Fraction, got {type(x)}")
+        entries = tuple({c: x for c, x in enumerate(r) if x} for r in dense)
         return cls(len(entries), cols, entries)
 
     def rank(self) -> int:
         return rational_rank(self.entries)
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.entries)
+        return not any(self.entries)
 
 
 def mat_mul_exact(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Exact product; uses int64 when the entry bound allows it."""
+    """Exact sparse product a @ b."""
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    if a.rows == 0 or b.cols == 0 or a.cols == 0:
-        return MatrixQ(a.rows, b.cols, tuple(tuple([0] * b.cols) for _ in range(a.rows)))
-    all_int = all(
-        isinstance(x, (int, np.integer)) for r in a.entries for x in r
-    ) and all(isinstance(x, (int, np.integer)) for r in b.entries for x in r)
-    if all_int:
-        ma = max((abs(x) for r in a.entries for x in r), default=0)
-        mb = max((abs(x) for r in b.entries for x in r), default=0)
-        if ma * mb * a.cols < _SAFE:
-            prod = np.array(a.entries, dtype=np.int64) @ np.array(b.entries, dtype=np.int64)
-            return MatrixQ(a.rows, b.cols, tuple(tuple(int(x) for x in r) for r in prod))
-    bt = list(zip(*b.entries))
-    out = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
-    )
-    return MatrixQ(a.rows, b.cols, out)
+    out = []
+    for row in a.entries:
+        acc: dict = {}
+        for k, x in row.items():
+            for j, y in b.entries[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return MatrixQ(a.rows, b.cols, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -204,9 +168,6 @@ class ChainComplexQ:
     offset: int
     dims: tuple[int, ...]
     maps: tuple[MatrixQ, ...]
-
-    def degree_range(self) -> range:
-        return range(self.offset, self.offset + len(self.dims))
 
     def homology_dims(self) -> tuple[int, ...]:
         ranks = [m.rank() for m in self.maps]
@@ -244,6 +205,3 @@ def chain_complex(offset: int, dims, maps) -> ChainComplexQ:
             )
     return ChainComplexQ(offset, dims, maps)
 
-
-def homology_dims(complex_: ChainComplexQ) -> tuple[int, ...]:
-    return complex_.homology_dims()

@@ -161,14 +161,6 @@ class SubspaceGF:
         return (self.dim, self.basis)
 
 
-def subspace_sum(a: SubspaceGF, b: SubspaceGF) -> SubspaceGF:
-    return a.sum_with(b)
-
-
-def subspace_intersect(a: SubspaceGF, b: SubspaceGF) -> SubspaceGF:
-    return a.intersect(b)
-
-
 def _rref_rows(field: FieldSpec, d: int, k: int):
     """Yield every reduced echelon basis of a k-subspace of field^d once."""
     if k == 0:

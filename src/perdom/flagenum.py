@@ -17,7 +17,6 @@ from .exactalg.qcount import q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
 from .slopes import (
     ClosedFamily,
-    FlagPoint,
     SlopeFunction,
     Subfunction,
     FilteredSpace,
@@ -67,7 +66,7 @@ def enumerate_flags(g: SlopeFunction, p: int, n: int, budget: int | None = None)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
     for chain in enumerate_chains(field, g.d, proper_dims):
-        yield FlagPoint(field, g, chain + (full,))
+        yield FilteredSpace(field, g, chain + (full,))
 
 
 def count_points(

@@ -337,9 +337,6 @@ class FilteredSpace:
     members: tuple[SubspaceGF, ...]
 
 
-FlagPoint = FilteredSpace
-
-
 def filtered_space(field: FieldSpec, g: SlopeFunction, members) -> FilteredSpace:
     members = tuple(members)
     dims = g.cumulative_dims()

@@ -2,7 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from perdom import cli
 from perdom.cli import main
+from perdom.errors import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -157,6 +161,52 @@ def test_bad_n_ranges_exit_two(capsys):
     for bad in ("x", "0", "3..x", ",,"):
         code, _, err = run(capsys, "zeta", "--g", "1,-1", "--q", "2", "--n", bad)
         assert code == 2, bad
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--g", "@{tmp}/missing.json", "--q", "2"),
+        ("table", "--g", "@{tmp}/not.json", "--q", "2"),
+        ("kcomplex", "--d", "3", "--q", "2", "--i0", "a"),
+    ],
+    ids=["missing-config", "non-json-config", "non-integer-i0"],
+)
+def test_bad_inputs_exit_two(argv, tmp_path, capsys):
+    (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(jobs, capsys):
+    code, _, err = run(capsys, "kcomplex", "--d", "2", "--q", "2", "--jobs", jobs)
+    assert code == 2 and "--jobs" in err
+    code, _, err = run(capsys, "zeta", "--g", "1,-1", "--q", "2", "--jobs", jobs)
+    assert code == 2 and "--jobs" in err
+
+
+def test_jobs_clamped_to_tasks_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1, 10) == 1
+    assert cli._worker_count(3, 10) == 3
+    assert cli._worker_count(64, 2) == 2
+    assert cli._worker_count(64, 10) == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(64, 10) == 1
+
+
+def test_verify_all_reports_a_raising_group_and_continues(capsys, monkeypatch):
+    def broken(ptype, q):
+        raise InternalCheckError("planted mismatch")
+
+    monkeypatch.setattr(cli.coh, "check_dim_v", broken)
+    code, out, err = run(capsys, "verify-all", "--quick")
+    assert code == 3
+    assert "FAIL Steinberg dimensions agree across both routes" in out
+    assert "PASS stalk complexes contract with a witness" in out
+    assert "planted mismatch" in err
 
 
 def test_json_to_stdout(capsys):

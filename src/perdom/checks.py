@@ -1,0 +1,149 @@
+"""The verification checks behind `verify-all` and the acceptance suite.
+
+Each check is a function `check(quick, family, signs) -> bool` over a fixed
+grid: the quick grid is a smoke test, the full grid covers every case of the
+acceptance criteria.  An InternalCheckError raised inside a check counts as a
+failure of that check.  `family` is the positive-degree family the stalk check
+classifies against; `signs` is the induction-complex sign convention, where
+"index" is the deliberately broken reading that must fail to compose to zero.
+CHECKS lists the checks in report order.
+"""
+
+from __future__ import annotations
+
+import random
+
+from . import cohomology as coh
+from . import complexes as cx
+from . import flagenum, slopes, weyl
+from .errors import InternalCheckError
+from .weyl import ParabolicType
+
+SS = slopes.ClosedFamily.semistable()
+
+
+def slope_grid(quick: bool, seed: int):
+    """A regular and a non-regular slope function per d; the full grid goes
+    up to d = 5 and adds one random slope function per d drawn from seed."""
+    rng = random.Random(seed)
+    for d in (2, 3) if quick else (2, 3, 4, 5):
+        yield slopes.from_values(range(-(d - 1), d, 2))  # arithmetic, zero sum
+        if d >= 3:
+            yield slopes.from_values([1] * (d - 1) + [-(d - 1)])
+        if not quick:
+            yield slopes.random_slope_function(rng, d)
+
+
+def corruptible(ptype: ParabolicType) -> bool:
+    """Complexes with a single differential cannot witness a broken sign."""
+    return len(ptype.complement()) >= 2
+
+
+def induction_report(ptype: ParabolicType, q: int, signs: str) -> cx.KComplexReport:
+    """verify_K under the position signs; under the "index" corruption hook the
+    build must raise at its composition-zero validation."""
+    if signs == "position":
+        return cx.verify_K(ptype, q)
+    cx.build_K(ptype, q, signs=signs)
+    raise InternalCheckError("corrupted sign convention unexpectedly composed to zero")
+
+
+def check_prefix_map(quick, family, signs) -> bool:
+    for g in slope_grid(quick, 66):
+        for i in range(1, g.d):
+            slopes.kappa(i, g.mu)  # raises on failure
+    return True
+
+
+def check_parabolic_monotonicity(quick, family, signs) -> bool:
+    ok = True
+    for g in slope_grid(quick, 77):
+        mu, d = g.mu, g.d
+        for w in weyl.kostant_reps(mu):
+            delta = set(slopes.delta_w(w, mu, SS))
+            ok = ok and len(set(range(1, d)) - delta) <= weyl.length(w)
+            for i in range(1, d):
+                sw = weyl.compose(weyl.simple_reflection(i, d), w)
+                if weyl.is_kostant(sw, mu) and weyl.length(sw) == weyl.length(w) + 1:
+                    delta_sw = set(slopes.delta_w(sw, mu, SS))
+                    ok = ok and delta_sw <= delta and (delta - delta_sw) <= {i}
+    return ok
+
+
+def check_vanishing(quick, family, signs) -> bool:
+    rng = random.Random(20_2108)
+    gs = []
+    for _ in range(6 if quick else 20):
+        d = rng.randint(2, 4 if quick else 6)
+        gs.append(slopes.random_slope_function(rng, d))
+    if not quick:
+        rng = random.Random(415)
+        gs += [slopes.random_slope_function(rng, d) for d in (2, 3, 4, 5, 6) * 4]
+    return all(coh.vanishing_check(coh.table_open(g, SS)).ok for g in gs)
+
+
+def check_steinberg_dims(quick, family, signs) -> bool:
+    if quick:
+        grid = [(2, 2), (3, 2)]
+    else:
+        grid = [(d, q) for d in (2, 3, 4) for q in (2, 3)] + [(5, 2)]
+    ok = True
+    for d, q in grid:
+        for ptype in weyl.parabolic_types(d):
+            coh.check_dim_v(ptype, q)  # raises on mismatch
+        ok = ok and coh.dim_v(ParabolicType.empty(d), q) == q ** (d * (d - 1) // 2)
+    return ok
+
+
+def check_induction_complexes(quick, family, signs) -> bool:
+    if quick:
+        grid = [(2, 2), (3, 2)]
+    else:
+        grid = [(d, q) for d in (2, 3) for q in (2, 3)] + [(4, 2), (4, 3)]
+    ok = True
+    for d, q in grid:
+        for ptype in weyl.parabolic_types(d):
+            if ptype.is_full or (signs != "position" and not corruptible(ptype)):
+                continue
+            ok = ok and induction_report(ptype, q, signs).passed
+    return ok
+
+
+def check_stalks(quick, family, signs) -> bool:
+    """Every stalk on the closed stratum contracts; the flag count and the
+    number of flags on the closed stratum match their predictions."""
+    g = slopes.from_values([2, 1, -3])
+    ok = True
+    for n in (1,) if quick else (1, 2):
+        flags = list(flagenum.enumerate_flags(g, 2, n))
+        reports = [cx.stalk_report(flag, family) for flag in flags]
+        in_y = sum(1 for rep in reports if rep.in_y)
+        ok = (
+            ok
+            and len(flags) == flagenum.flag_count(g, 2, n)
+            and in_y == coh.predicted_counts(g, family, 2, n)[1]
+            and all(rep.passed for rep in reports if rep.in_y)
+        )
+    return ok
+
+
+def check_closed_strata(quick, family, signs) -> bool:
+    g = slopes.from_values([2, 1, -3])
+    ok = True
+    for i in range(1, 3):
+        ptype = ParabolicType.from_gens(3, [j for j in range(1, 3) if j != i])
+        geometric = cx.closed_stratum_count(g, SS, ptype, 2)
+        predicted = sum(2 ** weyl.length(w) for w in coh.omega_set(g, SS, ptype))
+        ok = ok and geometric == predicted
+    return ok
+
+
+CHECKS = (
+    ("prefix-map bijection and order reversal", check_prefix_map),
+    ("parabolic sets shrink along the order, with the length bound", check_parabolic_monotonicity),
+    ("low-degree vanishing with a single Steinberg top", check_vanishing),
+    ("Steinberg dimensions agree across both routes", check_steinberg_dims),
+    ("induction complex homology concentrated on top", check_induction_complexes),
+    ("stalk complexes contract with a witness", check_stalks),
+    ("closed-stratum cell counts match the length generating sum", check_closed_strata),
+)

@@ -11,21 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cohomology as coh
 from . import complexes as cx
-from . import flagenum, slopes, weyl
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    InternalCheckError,
-    PerdomError,
-    TheoremCheckError,
-)
+from . import checks, flagenum, slopes, weyl
+from .errors import ConfigError, InternalCheckError, PerdomError, TheoremCheckError
 from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
@@ -95,26 +88,19 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 
 def _map_jobs(fn, tasks, jobs: int) -> list:
-    """fn over tasks, in order, on min(jobs, #tasks, #cpus) worker processes."""
+    """fn(*task) for each task, in order, on min(jobs, #tasks, #cpus) worker processes."""
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
 
 
 def _emit_json(payload, path: str | None):
-    if path is None:
-        return
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
-def _emit_md(text: str, path: str | None):
+def _emit_text(text: str, path: str | None):
     if path is None:
         return
     if path == "-":
@@ -157,12 +143,11 @@ def cmd_table(args) -> int:
         "closed": coh.table_json(closed_table, args.q, ns),
     }
     _emit_json(payload, args.json)
-    _emit_md(md, args.md)
+    _emit_text(md, args.md)
     return 0
 
 
-def _zeta_one(task):
-    g, family, q, n, budget = task
+def _zeta_one(g, family, q, n, budget):
     predicted_open, predicted_closed, total = coh.predicted_counts(g, family, q, n)
     report = flagenum.count_points(g, family, q, n, budget=budget)
     return {
@@ -204,19 +189,10 @@ def cmd_zeta(args) -> int:
     return 0
 
 
-def _all_parabolic_subsets(d: int):
-    from itertools import combinations
-
-    pool = range(1, d)
-    for r in range(d):
-        for gens in combinations(pool, r):
-            yield ParabolicType.from_gens(d, gens)
-
-
 def cmd_dims(args) -> int:
     d = _resolve_d(args)
     rows = []
-    for ptype in _all_parabolic_subsets(d):
+    for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, args.q)
         dv = coh.check_dim_v(ptype, args.q) if args.oracle else coh.dim_v(ptype, args.q)
         rows.append(
@@ -235,21 +211,6 @@ def cmd_dims(args) -> int:
     return 0
 
 
-def _kcomplex_one(task):
-    ptype, q, signs = task
-    if signs == "position":
-        return cx.verify_K(ptype, q)
-    # corruption hook: build with the broken sign reading (raises at the
-    # composition-zero validation)
-    cx.build_K(ptype, q, signs=signs)
-    raise InternalCheckError("corrupted sign convention unexpectedly composed to zero")
-
-
-def _corruptible(ptype: ParabolicType) -> bool:
-    """Complexes with a single differential cannot witness a broken sign."""
-    return len(ptype.complement()) >= 2
-
-
 def cmd_kcomplex(args) -> int:
     d = _resolve_d(args)
     q = args.q
@@ -260,13 +221,14 @@ def cmd_kcomplex(args) -> int:
             raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
         subsets = [ParabolicType.from_gens(d, gens)]
     else:
-        subsets = [p for p in _all_parabolic_subsets(d) if not p.is_full]
+        subsets = [p for p in weyl.parabolic_types(d) if not p.is_full]
     signs = "index" if args.corrupt_signs else "position"
     if args.corrupt_signs:
-        subsets = [p for p in subsets if _corruptible(p)]
+        subsets = [p for p in subsets if checks.corruptible(p)]
         if not subsets:
             raise ConfigError("the sign-corruption hook needs a complex with two differentials")
-    reports = _map_jobs(_kcomplex_one, [(ptype, q, signs) for ptype in subsets], args.jobs)
+    tasks = [(ptype, q, signs) for ptype in subsets]
+    reports = _map_jobs(checks.induction_report, tasks, args.jobs)
     ok = True
     for rep in reports:
         ok = ok and rep.passed
@@ -314,129 +276,26 @@ def cmd_stalk(args) -> int:
 # -- verify-all -----------------------------------------------------------------
 
 
-def _suite_dims(quick: bool):
-    return ((2, 3) if quick else (2, 3, 4))
-
-
-def _suite_slope_functions(d: int):
-    """A regular and a non-regular slope function in dimension d."""
-    regular = slopes.from_values(range(-(d - 1), d, 2))  # arithmetic, zero sum
-    out = [regular]
-    if d >= 3:
-        out.append(slopes.from_values([1] * (d - 1) + [-(d - 1)]))
-    return out
-
-
 def cmd_verify_all(args) -> int:
     family = slopes.parse_family(args.family)
     if not family.within_ss:
         raise ConfigError(
             f"verify-all needs a family of positive degrees, got {family.describe()}"
         )
-    quick = args.quick
-    qs = (2,) if quick else (2, 3)
-    failures: list[str] = []
+    signs = "index" if args.corrupt_signs else "position"
     lines: list[str] = []
-
-    def check(name: str, ok: bool):
+    for name, check in checks.CHECKS:
+        try:
+            ok = check(args.quick, family, signs)
+        except InternalCheckError as exc:
+            print(f"internal check failed: {exc}", file=sys.stderr)
+            ok = False
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
         sys.stdout.write(lines[-1] + "\n")
-        if not ok:
-            failures.append(name)
-
-    ss = slopes.ClosedFamily.semistable()
-
-    # coset/subfunction bijection with order reversal
-    ok = True
-    try:
-        for d in _suite_dims(quick):
-            for g in _suite_slope_functions(d):
-                for i in range(1, d):
-                    slopes.kappa(i, g.mu)  # raises on failure
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        ok = False
-    check("prefix-map bijection and order reversal", ok)
-
-    # parabolic monotonicity along left multiplication, and the length bound
-    ok = True
-    for d in _suite_dims(quick):
-        for g in _suite_slope_functions(d):
-            mu = g.mu
-            reps = weyl.kostant_reps(mu)
-            for w in reps:
-                delta = set(slopes.delta_w(w, mu, ss))
-                if len(set(range(1, d)) - delta) > weyl.length(w):
-                    ok = False
-                for i in range(1, d):
-                    sw = weyl.compose(weyl.simple_reflection(i, d), w)
-                    if weyl.is_kostant(sw, mu) and weyl.length(sw) == weyl.length(w) + 1:
-                        delta_sw = set(slopes.delta_w(sw, mu, ss))
-                        if not delta_sw <= delta or not (delta - delta_sw) <= {i}:
-                            ok = False
-    check("parabolic sets shrink along the order, with the length bound", ok)
-
-    # vanishing below the top of the open table
-    rng = random.Random(20_2108)
-    ok = True
-    for _ in range(20 if not quick else 6):
-        d = rng.randint(2, 6 if not quick else 4)
-        g = slopes.random_slope_function(rng, d)
-        if not coh.vanishing_check(coh.table_open(g, ss)).ok:
-            ok = False
-    check("low-degree vanishing with a single Steinberg top", ok)
-
-    # representation dimensions, two routes
-    ok = True
-    try:
-        for d in _suite_dims(quick):
-            for q in qs:
-                for ptype in _all_parabolic_subsets(d):
-                    coh.check_dim_v(ptype, q)  # raises on mismatch
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        ok = False
-    check("Steinberg dimensions agree across both routes", ok)
-
-    # induction complexes
-    signs = "index" if args.corrupt_signs else "position"
-    ok = True
-    grid = [(d, q) for d in (2, 3) for q in qs]
-    if not quick:
-        grid.append((4, 2))
-    for d, q in grid:
-        for ptype in _all_parabolic_subsets(d):
-            if ptype.is_full:
-                continue
-            if signs == "index" and not _corruptible(ptype):
-                continue
-            rep = _kcomplex_one((ptype, q, signs))
-            ok = ok and rep.passed
-    check("induction complex homology concentrated on top", ok)
-
-    # stalk contractions over the closed stratum
-    g = slopes.from_values([2, 1, -3])
-    ok = True
-    for n in (1,) if quick else (1, 2):
-        for flag in flagenum.enumerate_flags(g, 2, n):
-            rep = cx.stalk_report(flag, family)
-            if rep.in_y and not rep.passed:
-                ok = False
-    check("stalk complexes contract with a witness", ok)
-
-    # closed-stratum cell counts against the coset-length generating sum
-    ok = True
-    for i in range(1, 3):
-        ptype = ParabolicType.from_gens(3, [j for j in range(1, 3) if j != i])
-        geometric = cx.closed_stratum_count(g, ss, ptype, 2)
-        predicted = sum(2 ** weyl.length(w) for w in coh.omega_set(g, ss, ptype))
-        if geometric != predicted:
-            ok = False
-    check("closed-stratum cell counts match the length generating sum", ok)
-
+    failures = sum(1 for line in lines if line.startswith("FAIL"))
     _emit_json({"checks": lines, "pass": not failures}, args.json)
     if failures:
-        raise TheoremCheckError(f"{len(failures)} verification groups failed")
+        raise TheoremCheckError(f"{failures} verification groups failed")
     return 0
 
 
@@ -519,20 +378,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except TheoremCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return exc.exit_code
     except PerdomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "internal check failed" if isinstance(exc, InternalCheckError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
 
 

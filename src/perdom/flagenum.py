@@ -13,16 +13,9 @@ from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .exactalg.gf import make_field
-from .exactalg.qcount import q_binomial, q_multinomial
+from .exactalg.qcount import q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
-from .slopes import (
-    ClosedFamily,
-    SlopeFunction,
-    Subfunction,
-    FilteredSpace,
-    induced_degree,
-    induced_type,
-)
+from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -34,7 +27,6 @@ class CountReport:
     total: int
     in_y: int
     in_open: int
-    per_h: tuple[tuple[Subfunction, int], ...] | None = None
 
 
 @lru_cache(maxsize=None)
@@ -70,55 +62,15 @@ def enumerate_flags(g: SlopeFunction, p: int, n: int, budget: int | None = None)
 
 
 def count_points(
-    g: SlopeFunction,
-    family: ClosedFamily,
-    p: int,
-    n: int,
-    budget: int | None = None,
-    with_per_h: bool = False,
+    g: SlopeFunction, family: ClosedFamily, p: int, n: int, budget: int | None = None
 ) -> CountReport:
     """Classify every flag of type g over GF(p^n) against the family."""
     subspaces = rational_subspaces(p, g.d)
     _check_budget(g, p, n, budget, len(subspaces))
     total = 0
     in_y = 0
-    per_h: dict[Subfunction, int] = {}
     for flag in enumerate_flags(g, p, n, budget=budget):
         total += 1
-        if with_per_h:
-            hit_types = set()
-            for u in subspaces:
-                h = induced_type(flag, u)
-                if family.contains(h):
-                    hit_types.add(h)
-            if hit_types:
-                in_y += 1
-                for h in hit_types:
-                    per_h[h] = per_h.get(h, 0) + 1
-        else:
-            if any(
-                family.contains_degree(induced_degree(flag, u)) for u in subspaces
-            ):
-                in_y += 1
-    per_h_out = (
-        tuple(sorted(per_h.items(), key=lambda kv: kv[0].values, reverse=True))
-        if with_per_h
-        else None
-    )
-    return CountReport(q=p, n=n, total=total, in_y=in_y, in_open=total - in_y, per_h=per_h_out)
-
-
-def count_Yh(g: SlopeFunction, h: Subfunction, p: int, n: int, budget: int | None = None) -> int:
-    """Flags admitting at least one rational subspace of induced type exactly h."""
-    subspaces = [u for u in rational_subspaces(p, g.d) if u.dim == h.length]
-    _check_budget(g, p, n, budget, len(subspaces))
-    count = 0
-    for flag in enumerate_flags(g, p, n, budget=budget):
-        if any(induced_type(flag, u) == h for u in subspaces):
-            count += 1
-    return count
-
-
-def subspace_count(p: int, d: int) -> int:
-    """Number of proper nonzero rational subspaces (budget arithmetic)."""
-    return sum(q_binomial(d, k, p) for k in range(1, d))
+        if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
+            in_y += 1
+    return CountReport(q=p, n=n, total=total, in_y=in_y, in_open=total - in_y)

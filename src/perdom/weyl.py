@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from itertools import permutations as _iter_permutations
 
-from .errors import ConfigError, InternalCheckError
+from .errors import ConfigError
 
 Perm = tuple[int, ...]
 Cocharacter = tuple[Fraction, ...]
@@ -156,6 +157,13 @@ class ParabolicType:
         return (len(self.gens), self.gens)
 
 
+def parabolic_types(d: int):
+    """All reflection subsets of S_d, by size and then lexicographically."""
+    for r in range(d):
+        for gens in combinations(range(1, d), r):
+            yield ParabolicType(d, gens)
+
+
 def stabilizer_type(mu) -> ParabolicType:
     """Generators of the stabilizer of a weakly decreasing vector."""
     if not is_weakly_decreasing(mu):
@@ -199,49 +207,12 @@ def kostant_reps(mu: Cocharacter) -> tuple[Perm, ...]:
     return tuple(w for w in all_perms(len(mu)) if is_kostant(w, mu))
 
 
-@lru_cache(maxsize=None)
-def _double_coset_classes(i: int, mu: Cocharacter) -> tuple[tuple[Perm, ...], ...]:
-    """Partition of S_d into double cosets W_{S\\{s_i}} w W_mu (BFS closure)."""
+def double_coset_reps(i: int, mu: Cocharacter) -> tuple[Perm, ...]:
+    """One minimal-length representative per double coset W_{S\\{s_i}}\\W/W_mu:
+    the Kostant representatives for mu whose inverse is minimal modulo the
+    maximal parabolic without s_i, sorted by (length, one-line)."""
     d = len(mu)
     if not 1 <= i <= d - 1:
         raise ConfigError(f"index {i} out of range for d={d}")
-    left_gens = [simple_reflection(j, d) for j in range(1, d) if j != i]
-    right_gens = [simple_reflection(j, d) for j in stabilizer_type(mu).gens]
-    seen: dict[Perm, int] = {}
-    classes: list[list[Perm]] = []
-    for w in all_perms(d):
-        if w in seen:
-            continue
-        cls_id = len(classes)
-        orbit = [w]
-        seen[w] = cls_id
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for s in left_gens:
-                    v = compose(s, u)
-                    if v not in seen:
-                        seen[v] = cls_id
-                        orbit.append(v)
-                        nxt.append(v)
-                for s in right_gens:
-                    v = compose(u, s)
-                    if v not in seen:
-                        seen[v] = cls_id
-                        orbit.append(v)
-                        nxt.append(v)
-            frontier = nxt
-        classes.append(orbit)
-    return tuple(tuple(sorted(c, key=lambda w: (length(w), w))) for c in classes)
-
-
-def double_coset_reps(i: int, mu: Cocharacter) -> tuple[Perm, ...]:
-    """One minimal-length representative per double coset W_{S\\{s_i}}\\W/W_mu."""
-    reps = []
-    for orbit in _double_coset_classes(i, mu):
-        head = orbit[0]
-        if len(orbit) > 1 and length(orbit[1]) == length(head):
-            raise InternalCheckError("double coset without a unique minimum")
-        reps.append(head)
-    return tuple(sorted(reps, key=lambda w: (length(w), w)))
+    cut = (1,) * i + (0,) * (d - i)
+    return tuple(w for w in kostant_reps(mu) if is_kostant(inverse(w), cut))

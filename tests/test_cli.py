@@ -138,8 +138,10 @@ def test_verify_all_rejects_nonpositive_family(capsys):
 
 
 def test_verify_all_corrupt_signs_fails_at_composition(capsys):
-    code, _, err = run(capsys, "verify-all", "--quick", "--corrupt-signs")
-    assert code == 1
+    code, out, err = run(capsys, "verify-all", "--quick", "--corrupt-signs")
+    assert code == 3
+    assert "FAIL induction complex homology concentrated on top" in out
+    assert sum(1 for line in out.splitlines() if line.startswith("PASS")) == 6
     assert "compose to zero" in err
 
 
@@ -147,7 +149,7 @@ def test_zeta_mismatch_exits_three(capsys, monkeypatch):
     import perdom.cli as cli_mod
     from perdom.flagenum import CountReport
 
-    def broken_count(g, family, p, n, budget=None, with_per_h=False):
+    def broken_count(g, family, p, n, budget=None):
         total = 21
         return CountReport(q=p, n=n, total=total, in_y=total - 1, in_open=1)
 

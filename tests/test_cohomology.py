@@ -22,6 +22,7 @@ from perdom.weyl import (
     is_kostant,
     kostant_reps,
     length,
+    parabolic_types,
     simple_reflection,
 )
 
@@ -40,12 +41,8 @@ def test_dim_induced_matches_coset_space_sizes():
 
     for d in (2, 3, 4):
         for q in (2, 3):
-            from itertools import combinations
-
-            for r in range(d):
-                for gens in combinations(range(1, d), r):
-                    ptype = ParabolicType.from_gens(d, gens)
-                    assert coh.dim_induced(ptype, q) == len(coset_space(ptype, q))
+            for ptype in parabolic_types(d):
+                assert coh.dim_induced(ptype, q) == len(coset_space(ptype, q))
 
 
 def test_dim_v_examples():
@@ -63,11 +60,8 @@ def test_dim_v_steinberg_spot_checks():
 def test_dim_v_two_routes_small_grid():
     for d in (2, 3):
         for q in (2, 3):
-            from itertools import combinations
-
-            for r in range(d):
-                for gens in combinations(range(1, d), r):
-                    coh.check_dim_v(ParabolicType.from_gens(d, gens), q)
+            for ptype in parabolic_types(d):
+                coh.check_dim_v(ptype, q)
 
 
 def test_dims_require_prime_base():

@@ -5,7 +5,6 @@ from functools import reduce
 
 import pytest
 
-from perdom import weyl
 from perdom.errors import ConfigError
 from perdom.weyl import (
     ParabolicType,
@@ -22,6 +21,7 @@ from perdom.weyl import (
     kostant_reps,
     length,
     longest_element,
+    parabolic_types,
     simple_reflection,
     stabilizer_type,
 )
@@ -142,6 +142,14 @@ def test_act_is_a_left_action():
 # -- parabolic types --------------------------------------------------------------
 
 
+def test_parabolic_types_are_all_subsets_once():
+    for d in range(1, 6):
+        types = list(parabolic_types(d))
+        assert len(types) == len(set(types)) == 2 ** (d - 1)
+        assert [len(t.gens) for t in types] == sorted(len(t.gens) for t in types)
+        assert types[0] == ParabolicType.empty(d) and types[-1] == ParabolicType.full(d)
+
+
 def test_stabilizer_examples():
     assert stabilizer_type(frac((3, 2, -5))).gens == ()
     assert stabilizer_type(frac((1, 1, -2))).gens == (1,)
@@ -231,14 +239,49 @@ def test_double_cosets_collapse_with_stabilizer():
     assert len(double_coset_reps(1, mu)) == 2
 
 
+def double_coset_classes_oracle(i, mu):
+    """Oracle: the double cosets W_{S\\{s_i}} w W_mu as BFS closures under
+    left multiplication by s_j (j != i) and right multiplication by the
+    stabilizer's reflections, each sorted by (length, one-line)."""
+    d = len(mu)
+    left_gens = [simple_reflection(j, d) for j in range(1, d) if j != i]
+    right_gens = [simple_reflection(j, d) for j in stabilizer_type(mu).gens]
+    seen = set()
+    classes = []
+    for w in all_perms(d):
+        if w in seen:
+            continue
+        seen.add(w)
+        orbit = [w]
+        frontier = [w]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in [compose(s, u) for s in left_gens] + [compose(u, s) for s in right_gens]:
+                    if v not in seen:
+                        seen.add(v)
+                        orbit.append(v)
+                        nxt.append(v)
+            frontier = nxt
+        classes.append(sorted(orbit, key=lambda w: (length(w), w)))
+    return classes
+
+
 def test_double_cosets_partition_the_group():
-    mu = frac((1, 1, -1, -1))
-    for i in (1, 2, 3):
-        classes = weyl._double_coset_classes(i, mu)
-        seen = [w for orbit in classes for w in orbit]
-        assert sorted(seen) == sorted(all_perms(4))
-        reps = double_coset_reps(i, mu)
-        assert len(reps) == len(classes)
+    rng = random.Random(2)
+    cases = [frac((1, 1, -1, -1))]
+    for d in (2, 3, 4, 5) * 3:
+        cases.append(tuple(sorted(frac(rng.randint(-2, 2) for _ in range(d)), reverse=True)))
+    for mu in cases:
+        d = len(mu)
+        for i in range(1, d):
+            classes = double_coset_classes_oracle(i, mu)
+            seen = [w for orbit in classes for w in orbit]
+            assert sorted(seen) == sorted(all_perms(d))
+            # each double coset has a unique minimum, and it is the representative
+            assert all(len(c) == 1 or length(c[1]) > length(c[0]) for c in classes)
+            minima = sorted((c[0] for c in classes), key=lambda w: (length(w), w))
+            assert double_coset_reps(i, mu) == tuple(minima)
 
 
 def test_double_coset_index_range():

@@ -79,6 +79,7 @@ def check_vanishing(quick, family, signs) -> bool:
     if not quick:
         rng = random.Random(415)
         gs += [slopes.random_slope_function(rng, d) for d in (2, 3, 4, 5, 6) * 4]
+        gs += [slopes.drinfeld(d) for d in range(7, 13)]
     return all(coh.vanishing_check(coh.table_open(g, SS)).ok for g in gs)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,13 @@ from fractions import Fraction
 from . import cohomology as coh
 from . import complexes as cx
 from . import checks, flagenum, slopes, weyl
-from .errors import ConfigError, InternalCheckError, PerdomError, TheoremCheckError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    InternalCheckError,
+    PerdomError,
+    TheoremCheckError,
+)
 from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
@@ -81,6 +88,13 @@ def _budget(args) -> int:
     return flagenum.DEFAULT_BUDGET
 
 
+def _require_budget(args, required: int, what: str):
+    """Exit 4 before an enumeration of `required` items that exceeds the budget."""
+    budget = _budget(args)
+    if required > budget:
+        raise BudgetExceededError(required, budget, what)
+
+
 def _worker_count(jobs: int, tasks: int) -> int:
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
@@ -123,6 +137,8 @@ def cmd_table(args) -> int:
     g = _parse_g(args)
     family = slopes.parse_family(args.family)
     ns = _parse_n_range(args.n)
+    reps = math.factorial(g.d) // math.prod(math.factorial(m) for m in g.mults)
+    _require_budget(args, reps, "Kostant representatives")
     open_table = coh.table_open(g, family)
     closed_table = coh.table_closed(g, family)
     md = (
@@ -191,6 +207,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_dims(args) -> int:
     d = _resolve_d(args)
+    _require_budget(args, 3 ** (d - 1), "Moebius terms")
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, args.q)
@@ -334,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("table", help="predicted cohomology tables (open and closed)")
-    _add_common(p, family=True, n=True)
+    _add_common(p, family=True, n=True, budget=True)
     p.add_argument("--md", metavar="PATH", help="write the markdown table")
     p.set_defaults(func=cmd_table)
 
@@ -343,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("dims", help="representation dimensions for all parabolic types")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.add_argument("--d", type=int, help="ambient dimension (alternative to --g)")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact-rank route and compare")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import FieldSpec
@@ -167,10 +167,6 @@ def dominates(h: Subfunction, other: Subfunction) -> bool:
     return all(a >= b for a, b in zip(h.values, other.values))
 
 
-def leq(h: Subfunction, other: Subfunction) -> bool:
-    return dominates(other, h)
-
-
 @lru_cache(maxsize=None)
 def enumerate_B(g: SlopeFunction, i: int) -> tuple[Subfunction, ...]:
     """All distinct length-i subfunctions of g, sorted decreasing."""
@@ -179,13 +175,6 @@ def enumerate_B(g: SlopeFunction, i: int) -> tuple[Subfunction, ...]:
     mu = g.mu
     seen = {subfunction(c) for c in combinations(mu, i)}
     return tuple(sorted(seen, key=lambda h: h.values, reverse=True))
-
-
-def enumerate_B_all(g: SlopeFunction) -> tuple[Subfunction, ...]:
-    out: list[Subfunction] = []
-    for i in range(1, g.d):
-        out.extend(enumerate_B(g, i))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -291,34 +280,21 @@ def from_mu(mu) -> SlopeFunction:
 def I_w(w: Perm, mu, family: ClosedFamily) -> ParabolicType:
     """Reflections s_i whose length-i prefix subfunction is outside the family.
 
-    Only defined for minimal coset representatives; anything else is an error
-    rather than a silent normalization.
+    The family depends only on the degree, and the degree of h_w_i is the
+    i-th partial sum of w.mu.  Only defined for minimal coset representatives;
+    anything else is an error rather than a silent normalization.
     """
     if not is_kostant(w, mu):
         raise ConfigError(f"{w} is not a minimal coset representative for mu={mu}")
     d = len(mu)
-    gens = [i for i in range(1, d) if not family.contains(h_w_i(mu, w, i))]
+    sums = accumulate(act(w, mu)[:-1])
+    gens = [i for i, total in enumerate(sums, start=1) if not family.contains_degree(total)]
     return ParabolicType.from_gens(d, gens)
 
 
 def delta_w(w: Perm, mu, family: ClosedFamily) -> tuple[int, ...]:
     """Complement of I_w: root indices alpha_i with s_i outside I_w."""
     return I_w(w, mu, family).complement()
-
-
-def I_w_prefix_sums(w: Perm, mu) -> ParabolicType:
-    """Semistable-family shortcut: s_i belongs iff the i-th partial sum of
-    w.mu is <= 0.  Must agree with I_w(w, mu, ss)."""
-    if not is_kostant(w, mu):
-        raise ConfigError(f"{w} is not a minimal coset representative for mu={mu}")
-    moved = act(w, mu)
-    gens = []
-    total = Fraction(0)
-    for i in range(1, len(mu)):
-        total += moved[i - 1]
-        if total <= 0:
-            gens.append(i)
-    return ParabolicType.from_gens(len(mu), gens)
 
 
 # -- filtered spaces ----------------------------------------------------------
@@ -380,16 +356,4 @@ def induced_degree(flag: FilteredSpace, u: SubspaceGF):
     return sum(
         (value * mult for value, mult in zip(flag.slope.values, _graded_dims(flag, u))),
         Fraction(0),
-    )
-
-
-def is_semistable(flag: FilteredSpace, rational_subspaces) -> bool:
-    """No proper nonzero prime-field subspace of positive degree."""
-    return all(induced_degree(flag, u) <= 0 for u in rational_subspaces)
-
-
-def in_open_stratum(flag: FilteredSpace, family: ClosedFamily, rational_subspaces) -> bool:
-    """True iff no rational subspace has induced type inside the family."""
-    return not any(
-        family.contains_degree(induced_degree(flag, u)) for u in rational_subspaces
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from itertools import permutations as _iter_permutations
 
 from .errors import ConfigError
 
@@ -69,12 +68,6 @@ def from_cycle(d: int, cycle: tuple[int, ...]) -> Perm:
     for j, x in enumerate(cycle):
         w[x - 1] = cycle[(j + 1) % len(cycle)]
     return tuple(w)
-
-
-@lru_cache(maxsize=None)
-def all_perms(d: int) -> tuple[Perm, ...]:
-    """All of S_d, sorted by (length, one-line)."""
-    return tuple(sorted(_iter_permutations(range(1, d + 1)), key=lambda w: (length(w), w)))
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
@@ -201,10 +194,23 @@ def is_kostant(w: Perm, mu) -> bool:
 @lru_cache(maxsize=None)
 def kostant_reps(mu: Cocharacter) -> tuple[Perm, ...]:
     """Minimal-length representatives of S_d modulo the stabilizer of mu,
-    sorted by (length, one-line)."""
+    sorted by (length, one-line).  They are the ordered set partitions of
+    1..d with the block sizes of mu, each block of positions filled with its
+    values in increasing order: d!/prod(m_i!) of them, built directly."""
     if not is_weakly_decreasing(mu):
         raise ConfigError("cocharacter must be weakly decreasing")
-    return tuple(w for w in all_perms(len(mu)) if is_kostant(w, mu))
+    sizes = [stop - start for start, stop in _blocks(mu)]
+
+    def fill(k: int, free: tuple[int, ...]):
+        if k == len(sizes):
+            yield ()
+            return
+        for chosen in combinations(free, sizes[k]):
+            rest = tuple(x for x in free if x not in chosen)
+            for tail in fill(k + 1, rest):
+                yield chosen + tail
+
+    return tuple(sorted(fill(0, identity(len(mu))), key=lambda w: (length(w), w)))
 
 
 def double_coset_reps(i: int, mu: Cocharacter) -> tuple[Perm, ...]:

@@ -62,8 +62,8 @@ def test_criterion_1_rank_three_table(tmp_path):
 
 
 def test_criterion_2_hyperplane_complement_tower():
-    with criterion(2, "hyperplane-complement formula structurally exact for d=2..6"):
-        for d in range(2, 7):
+    with criterion(2, "hyperplane-complement formula structurally exact for d=2..12"):
+        for d in range(2, 13):
             table = coh.table_open(drinfeld(d), SS)
             assert len(table.entries) == d
             w = identity(d)

@@ -79,6 +79,38 @@ def test_zeta_budget_exit(capsys, monkeypatch):
     assert code == 2
 
 
+def _unguarded(*args, **kwargs):
+    raise AssertionError("the enumeration ran before the budget check")
+
+
+@pytest.mark.parametrize(
+    "argv,patched",
+    [
+        (("table", "--g", ",".join(map(str, range(6, -7, -1))), "--q", "2"), "table_open"),
+        (("dims", "--d", "40", "--q", "2"), "parabolic_types"),
+    ],
+    ids=["table-13-distinct-values", "dims-d40"],
+)
+def test_table_and_dims_exit_four_before_enumerating(argv, patched, capsys, monkeypatch):
+    monkeypatch.setattr(cli.coh, "table_open", _unguarded)
+    monkeypatch.setattr(cli.weyl, "parabolic_types", _unguarded)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: enumeration needs") and "budget" in err
+
+
+def test_table_and_dims_budget_bounds(capsys, monkeypatch):
+    # 3!/1 = 6 representatives for (2, 1, -3); 3^2 = 9 Moebius terms for d = 3
+    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "5")[0] == 4
+    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "6")[0] == 0
+    assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "3")[0] == 0
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "8")[0] == 4
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "9")[0] == 0
+    monkeypatch.setenv("PERDOM_BUDGET", "5")
+    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2")[0] == 4
+    assert run(capsys, "dims", "--d", "3", "--q", "2")[0] == 4
+
+
 def test_dims_oracle(capsys):
     code, out, _ = run(capsys, "dims", "--d", "3", "--q", "2", "--oracle")
     assert code == 0

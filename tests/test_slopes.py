@@ -9,22 +9,20 @@ from perdom.exactalg.subspaces import SubspaceGF
 from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
     ClosedFamily,
+    FilteredSpace,
     I_w,
-    I_w_prefix_sums,
+    SlopeFunction,
+    Subfunction,
     delta_w,
     dominates,
     drinfeld,
     enumerate_B,
-    enumerate_B_all,
     filtered_space,
     from_values,
     h_w_i,
-    in_open_stratum,
     induced_degree,
     induced_type,
-    is_semistable,
     kappa,
-    leq,
     parse_family,
     parse_g_config,
     random_slope_function,
@@ -34,6 +32,34 @@ from perdom.slopes import (
 from perdom.weyl import from_cycle, identity, kostant_reps
 
 F = Fraction
+
+
+# -- oracles: direct readings of the definitions, used only by these tests ------
+
+
+def leq(h: Subfunction, other: Subfunction) -> bool:
+    return dominates(other, h)
+
+
+def enumerate_B_all(g: SlopeFunction) -> tuple[Subfunction, ...]:
+    """Every subfunction of g, by length."""
+    return tuple(h for i in range(1, g.d) for h in enumerate_B(g, i))
+
+
+def is_semistable(flag: FilteredSpace, rational_subspaces) -> bool:
+    """No proper nonzero prime-field subspace of positive degree."""
+    return all(induced_degree(flag, u) <= 0 for u in rational_subspaces)
+
+
+def in_open_stratum(flag: FilteredSpace, family: ClosedFamily, rational_subspaces) -> bool:
+    """True iff no rational subspace has induced type inside the family."""
+    return not any(family.contains(induced_type(flag, u)) for u in rational_subspaces)
+
+
+def I_w_oracle(w, mu, family: ClosedFamily) -> tuple[int, ...]:
+    """I_w from its definition: the s_i whose prefix subfunction h_w_i is
+    outside the family, tested on the subfunction itself."""
+    return tuple(i for i in range(1, len(mu)) if not family.contains(h_w_i(mu, w, i)))
 
 
 def test_validate_examples():
@@ -131,12 +157,16 @@ def test_I_w_requires_minimal_representative():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_I_w_matches_prefix_sum_formula(d):
+    """I_w, read off the prefix sums of w.mu, against its definition on the
+    prefix subfunctions, for ss and several threshold families."""
     rng = random.Random(d)
-    ss = ClosedFamily.semistable()
+    families = [parse_family(spec) for spec in ("ss", "ge:0", "ge:1/2", "ge:1", "ge:3", "ge:-2")]
+    families.append(ClosedFamily(F(1), strict=True))
     for _ in range(3):
         g = random_slope_function(rng, d)
         for w in kostant_reps(g.mu):
-            assert I_w(w, g.mu, ss) == I_w_prefix_sums(w, g.mu)
+            for family in families:
+                assert I_w(w, g.mu, family).gens == I_w_oracle(w, g.mu, family)
 
 
 def test_family_membership_and_ss():

@@ -1,15 +1,18 @@
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perdom.errors import ConfigError
+from perdom.exactalg.qcount import q_multinomial
 from perdom.weyl import (
     ParabolicType,
     act,
-    all_perms,
     bruhat_leq,
     compose,
     coset_min,
@@ -29,6 +32,28 @@ from perdom.weyl import (
 
 def frac(xs):
     return tuple(Fraction(x) for x in xs)
+
+
+@lru_cache(maxsize=None)
+def all_perms(d):
+    """Oracle: all of S_d, sorted by (length, one-line).  Filtering it with
+    is_kostant is the reference route for kostant_reps; only for small d."""
+    return tuple(sorted(permutations(range(1, d + 1)), key=lambda w: (length(w), w)))
+
+
+def mu_of(parts):
+    """A strictly decreasing run of values with the given multiplicities."""
+    return frac(len(parts) - k for k, m in enumerate(parts) for _ in range(m))
+
+
+def compositions(d):
+    """Every composition of d, as tuples of positive parts."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(1, d + 1):
+        for rest in compositions(d - first):
+            yield (first,) + rest
 
 
 # -- reduced words and the subword test oracle --------------------------------
@@ -209,6 +234,40 @@ def test_unique_factorization_with_additive_length(mu):
         assert length(w) == length(wdot) + length(u)
         # uniqueness: no other representative reaches w inside the coset
         assert sum(1 for r in reps if compose(inverse(r), w) in stabilizer) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_kostant_reps_match_the_filter_oracle(d):
+    for parts in compositions(d):
+        mu = mu_of(parts)
+        assert kostant_reps(mu) == tuple(w for w in all_perms(d) if is_kostant(w, mu))
+
+
+def multinomial(parts):
+    return math.factorial(sum(parts)) // math.prod(math.factorial(m) for m in parts)
+
+
+@st.composite
+def small_compositions(draw, max_d=12, max_reps=20_000):
+    """Compositions of some d <= max_d with at most max_reps representatives."""
+    left = draw(st.integers(1, max_d))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+        if multinomial(parts + [left] if left else parts) > max_reps:
+            parts[-1] += left
+            left = 0
+    return tuple(parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_compositions())
+def test_kostant_reps_count_and_length_generating_sum(parts):
+    reps = kostant_reps(mu_of(parts))
+    assert len(reps) == len(set(reps)) == multinomial(parts)
+    for q in (2, 3):
+        assert sum(q ** length(w) for w in reps) == q_multinomial(parts, q)
 
 
 def test_kostant_reps_sorted_and_increasing_on_blocks():

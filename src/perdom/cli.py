@@ -137,8 +137,10 @@ def cmd_table(args) -> int:
     g = _parse_g(args)
     family = slopes.parse_family(args.family)
     ns = _parse_n_range(args.n)
+    # d^2 units per representative: its length counts inversions over
+    # d(d-1)/2 pairs, and I_w reads d partial sums
     reps = math.factorial(g.d) // math.prod(math.factorial(m) for m in g.mults)
-    _require_budget(args, reps, "Kostant representatives")
+    _require_budget(args, reps * g.d**2, "work units (d^2 per Kostant representative)")
     open_table = coh.table_open(g, family)
     closed_table = coh.table_closed(g, family)
     md = (
@@ -265,23 +267,24 @@ def cmd_stalk(args) -> int:
     if not family.within_ss:
         raise ConfigError("stalk checks need a family of positive degrees")
     ns = _parse_n_range(args.n) or (1,)
+    # every flag is classified against every rational subspace
+    _require_budget(args, flagenum.classification_tests(g, args.q, max(ns)), "flag/subspace tests")
     budget = _budget(args)
     all_ok = True
     rows = []
     for n in ns:
-        flags = list(flagenum.enumerate_flags(g, args.q, n, budget=budget))
-        in_y = 0
-        failed = 0
-        for flag in flags:
+        flags = in_y = failed = 0
+        for flag in flagenum.enumerate_flags(g, args.q, n, budget=budget):
+            flags += 1
             rep = cx.stalk_report(flag, family)
             if rep.in_y:
                 in_y += 1
                 if not rep.passed:
                     failed += 1
         all_ok = all_ok and failed == 0
-        rows.append({"n": n, "flags": len(flags), "in_y": in_y, "failed": failed})
+        rows.append({"n": n, "flags": flags, "in_y": in_y, "failed": failed})
         sys.stdout.write(
-            f"n={n}: {len(flags)} flags, {in_y} on the closed stratum, "
+            f"n={n}: {flags} flags, {in_y} on the closed stratum, "
             f"{failed} stalk failures\n"
         )
     _emit_json({"d": g.d, "q": args.q, "rows": rows, "pass": all_ok}, args.json)

@@ -12,15 +12,14 @@ point-count predictions by taking Frobenius traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import is_prime
 from .exactalg.qcount import q_multinomial
-from .slopes import ClosedFamily, SlopeFunction, I_w
-from .weyl import ParabolicType, Perm, bruhat_leq, from_cycle, kostant_reps, length
+from .slopes import ClosedFamily, SlopeFunction, outside_family
+from .weyl import ParabolicType, Perm, act, kostant_reps, length
 
 INDUCED = "induced"
 STEINBERG_QUOTIENT = "steinberg_quotient"
@@ -141,60 +140,43 @@ def _sorted_entries(entries) -> tuple[CohEntry, ...]:
     return tuple(sorted(entries, key=lambda e: (e.degree, e.length, e.w)))
 
 
+@lru_cache(maxsize=None)
+def kostant_cells(mu, family: ClosedFamily) -> tuple[tuple[Perm, int, ParabolicType], ...]:
+    """(w, length(w), I_w) for every minimal coset representative of mu.
+
+    kostant_reps validates mu once, so I_w's per-representative guard is
+    skipped; the tables, the cell total and omega_set all read this pass.
+    """
+    return tuple(
+        (w, length(w), outside_family(act(w, mu), family)) for w in kostant_reps(mu)
+    )
+
+
 def table_open(g: SlopeFunction, family: ClosedFamily) -> CohTable:
     """Cohomology table of the open stratum: one summand per representative."""
     _require_subfamily_of_ss(family)
-    mu = g.mu
     entries = []
-    for w in kostant_reps(mu):
-        iw = I_w(w, mu, family)
+    for w, lw, iw in kostant_cells(g.mu, family):
         delta = iw.complement()
-        lw = length(w)
-        entries.append(
-            CohEntry(
-                w=w,
-                length=lw,
-                i_w=iw,
-                delta=delta,
-                degree=2 * lw + len(delta),
-                twist=-lw,
-                rep=rep_label(STEINBERG_QUOTIENT, iw),
-            )
-        )
+        steinberg = rep_label(STEINBERG_QUOTIENT, iw)
+        entries.append(CohEntry(w, lw, iw, delta, 2 * lw + len(delta), -lw, steinberg))
     return CohTable("open", g, family, _sorted_entries(entries))
 
 
 def table_closed(g: SlopeFunction, family: ClosedFamily) -> CohTable:
     """Cohomology table of the closed union of unstable strata."""
     _require_subfamily_of_ss(family)
-    mu = g.mu
-    d = g.d
+    trivial = rep_label(INDUCED, ParabolicType.full(g.d))
     entries = []
-    for w in kostant_reps(mu):
-        iw = I_w(w, mu, family)
+    for w, lw, iw in kostant_cells(g.mu, family):
         delta = iw.complement()
         missing = len(delta)
-        lw = length(w)
-        if missing == 0:
-            continue
         if missing == 1:
-            entries.append(
-                CohEntry(w, lw, iw, delta, 2 * lw, -lw, rep_label(INDUCED, iw))
-            )
-        else:
-            entries.append(
-                CohEntry(
-                    w, lw, iw, delta, 2 * lw, -lw,
-                    rep_label(INDUCED, ParabolicType.full(d)),
-                )
-            )
-            entries.append(
-                CohEntry(
-                    w, lw, iw, delta,
-                    2 * lw + missing - 1, -lw,
-                    rep_label(STEINBERG_QUOTIENT, iw),
-                )
-            )
+            entries.append(CohEntry(w, lw, iw, delta, 2 * lw, -lw, rep_label(INDUCED, iw)))
+        elif missing > 1:
+            steinberg = rep_label(STEINBERG_QUOTIENT, iw)
+            entries.append(CohEntry(w, lw, iw, delta, 2 * lw, -lw, trivial))
+            entries.append(CohEntry(w, lw, iw, delta, 2 * lw + missing - 1, -lw, steinberg))
     return CohTable("closed", g, family, _sorted_entries(entries))
 
 
@@ -233,67 +215,19 @@ def vanishing_check(table: CohTable) -> VanishingReport:
     return VanishingReport(ok=not failures, expected_degree=d - 1, failures=tuple(failures))
 
 
-def euler_characteristic(table: CohTable) -> tuple[tuple[int, RepLabel, int], ...]:
-    """Alternating sum of the table as a formal multiset (sign, rep, twist)."""
-    terms = [
-        ((-1 if e.degree % 2 else 1), e.rep, e.twist) for e in table.entries
-    ]
-    return tuple(sorted(terms, key=lambda t: (t[2], t[1].parabolic.sort_key(), t[1].kind, t[0])))
-
-
-def euler_evaluate(terms, q: int) -> int:
-    """Dimension evaluation of a formal Euler characteristic at q."""
-    return sum(sign * rep_dim(rep, q) for sign, rep, _twist in terms)
-
-
 def predicted_counts(g: SlopeFunction, family: ClosedFamily, q: int, n: int) -> tuple[int, int, int]:
     """(open, closed, total) point-count predictions over GF(q^n)."""
     open_trace = trace_prediction(table_open(g, family), q, n)
     closed_trace = trace_prediction(table_closed(g, family), q, n)
-    total = sum(q ** (n * length(w)) for w in kostant_reps(g.mu))
+    total = sum(q ** (n * lw) for _w, lw, _iw in kostant_cells(g.mu, family))
     return open_trace, closed_trace, total
 
 
 def omega_set(g: SlopeFunction, family: ClosedFamily, parabolic: ParabolicType) -> tuple[Perm, ...]:
     """Representatives whose attached parabolic set sits inside the given one."""
-    mu = g.mu
     return tuple(
-        w for w in kostant_reps(mu) if I_w(w, mu, family).issubset(parabolic)
+        w for w, _lw, iw in kostant_cells(g.mu, family) if iw.issubset(parabolic)
     )
-
-
-def degree_reversal_pair(mu) -> tuple[int, int]:
-    """The rank-5 demonstration that a Bruhat-smaller element can land in a
-    strictly larger cohomological degree.
-
-    Needs mu strictly decreasing of size 5 with zero sum and fourth entry
-    positive; returns the two induced degrees (8, 7).
-    """
-    mu = tuple(Fraction(x) for x in mu)
-    if len(mu) != 5:
-        raise ConfigError("the degree-reversal demonstration needs d = 5")
-    if any(mu[i] <= mu[i + 1] for i in range(4)):
-        raise ConfigError("mu must be strictly decreasing")
-    if sum(mu, Fraction(0)) != 0:
-        raise ConfigError("mu must sum to zero")
-    if mu[3] <= 0:
-        raise ConfigError("the fourth entry of mu must be positive")
-    family = ClosedFamily.semistable()
-    w_small = from_cycle(5, (2, 3, 4))
-    w_big = from_cycle(5, (2, 3, 4, 5))
-    if not bruhat_leq(w_small, w_big) or w_small == w_big:
-        raise InternalCheckError("expected a strict Bruhat comparison")
-    deg_small = 2 * length(w_small) + len(delta_of(w_small, mu, family))
-    deg_big = 2 * length(w_big) + len(delta_of(w_big, mu, family))
-    if (deg_small, deg_big) != (8, 7):
-        raise InternalCheckError(
-            f"degree-reversal degrees came out as {(deg_small, deg_big)}"
-        )
-    return deg_small, deg_big
-
-
-def delta_of(w: Perm, mu, family: ClosedFamily) -> tuple[int, ...]:
-    return I_w(w, mu, family).complement()
 
 
 # -- serialization -------------------------------------------------------------

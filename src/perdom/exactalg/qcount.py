@@ -10,18 +10,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 
-def q_int(m: int, q: int) -> int:
-    """[m]_q = 1 + q + ... + q^(m-1)."""
-    return sum(q**i for i in range(m))
-
-
-def q_factorial(m: int, q: int) -> int:
-    out = 1
-    for i in range(1, m + 1):
-        out *= q_int(i, q)
-    return out
-
-
 @lru_cache(maxsize=None)
 def q_binomial(d: int, k: int, q: int) -> int:
     if k < 0 or k > d:

@@ -5,9 +5,6 @@ with int or Fraction entries; MatrixQ.from_rows is the dense input boundary.
 rational_rank clears each row of denominators and runs a fraction-free
 elimination on gcd-normalized Python-int rows, so every arithmetic step is
 exact; no floating point anywhere.
-
-rank_mod_prime is the fast modular cross-check used by the test suite; it is
-a consistency probe, never the primary answer.
 """
 
 from __future__ import annotations
@@ -16,11 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ..errors import InternalCheckError
-
-_NP_LIMIT = 2**31
 
 
 def _primitive(row: dict) -> dict:
@@ -71,42 +64,6 @@ def rational_rank(rows) -> int:
                 pivots[c], row, pivot = row, pivot, row
             row = _reduce(row, pivot, c)
     return len(pivots)
-
-
-def rank_mod_prime(rows, p: int) -> int:
-    """Rank over GF(p) of dense rows; a lower bound for the rational rank
-    (cross-check)."""
-    if p >= _NP_LIMIT:
-        raise ValueError("prime too large for the int64 modular elimination")
-    mat = []
-    for r in rows:
-        ints = _primitive({j: x for j, x in enumerate(r) if x})
-        mat.append([ints.get(j, 0) % p for j in range(len(r))])
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return 0
-    a = np.array(mat, dtype=np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(rank, nrows):
-            if a[i, c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[[rank, sel]] = a[[sel, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        col = a[rank + 1 :, c].copy()
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - np.outer(col[nz], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 @dataclass(frozen=True)
@@ -177,14 +134,6 @@ class ChainComplexQ:
             above = ranks[j] if j < len(self.maps) else 0
             out.append(dim - below - above)
         return tuple(out)
-
-    def euler_characteristic(self) -> int:
-        sign = 1 if self.offset % 2 == 0 else -1
-        out = 0
-        for dim in self.dims:
-            out += sign * dim
-            sign = -sign
-        return out
 
 
 def chain_complex(offset: int, dims, maps) -> ChainComplexQ:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError
-from .exactalg.gf import make_field
-from .exactalg.qcount import q_multinomial
+from .errors import BudgetExceededError, ConfigError
+from .exactalg.gf import is_prime, make_field
+from .exactalg.qcount import q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
 from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
 
@@ -41,19 +41,27 @@ def rational_subspaces(p: int, d: int) -> tuple[SubspaceGF, ...]:
 
 def flag_count(g: SlopeFunction, p: int, n: int) -> int:
     """Exact number of flags of type g over GF(p^n) (q-multinomial)."""
+    if not is_prime(p):
+        raise ConfigError(f"p = {p} is not prime")
     return q_multinomial(g.mults, p**n)
 
 
-def _check_budget(g: SlopeFunction, p: int, n: int, budget: int | None, per_flag: int):
+def classification_tests(g: SlopeFunction, p: int, n: int) -> int:
+    """Flag/subspace tests needed to classify every flag of type g over
+    GF(p^n) against every rational subspace, counted without enumerating:
+    flag_count times len(rational_subspaces(p, g.d))."""
+    return flag_count(g, p, n) * sum(q_binomial(g.d, k, p) for k in range(1, g.d))
+
+
+def _check_budget(required: int, budget: int | None):
     budget = DEFAULT_BUDGET if budget is None else budget
-    required = flag_count(g, p, n) * max(per_flag, 1)
     if required > budget:
         raise BudgetExceededError(required, budget)
 
 
 def enumerate_flags(g: SlopeFunction, p: int, n: int, budget: int | None = None):
     """Yield every flag of type g over GF(p^n) exactly once."""
-    _check_budget(g, p, n, budget, 1)
+    _check_budget(flag_count(g, p, n), budget)
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
@@ -65,8 +73,8 @@ def count_points(
     g: SlopeFunction, family: ClosedFamily, p: int, n: int, budget: int | None = None
 ) -> CountReport:
     """Classify every flag of type g over GF(p^n) against the family."""
+    _check_budget(classification_tests(g, p, n), budget)
     subspaces = rational_subspaces(p, g.d)
-    _check_budget(g, p, n, budget, len(subspaces))
     total = 0
     in_y = 0
     for flag in enumerate_flags(g, p, n, budget=budget):

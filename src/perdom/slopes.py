@@ -148,16 +148,9 @@ class Subfunction:
     def degree(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
-    def as_json(self) -> list[list[int]]:
-        return [[x.numerator, x.denominator] for x in self.values]
-
 
 def subfunction(values) -> Subfunction:
     return Subfunction(tuple(sorted((Fraction(v) for v in values), reverse=True)))
-
-
-def deg(h: Subfunction) -> Fraction:
-    return h.degree
 
 
 def dominates(h: Subfunction, other: Subfunction) -> bool:
@@ -286,10 +279,14 @@ def I_w(w: Perm, mu, family: ClosedFamily) -> ParabolicType:
     """
     if not is_kostant(w, mu):
         raise ConfigError(f"{w} is not a minimal coset representative for mu={mu}")
-    d = len(mu)
-    sums = accumulate(act(w, mu)[:-1])
+    return outside_family(act(w, mu), family)
+
+
+def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
+    """Reflections s_i whose i-th partial sum of w.mu lies outside the family."""
+    sums = accumulate(w_mu[:-1])
     gens = [i for i, total in enumerate(sums, start=1) if not family.contains_degree(total)]
-    return ParabolicType.from_gens(d, gens)
+    return ParabolicType.from_gens(len(w_mu), gens)
 
 
 def delta_w(w: Perm, mu, family: ClosedFamily) -> tuple[int, ...]:
@@ -311,20 +308,6 @@ class FilteredSpace:
     field: FieldSpec
     slope: SlopeFunction
     members: tuple[SubspaceGF, ...]
-
-
-def filtered_space(field: FieldSpec, g: SlopeFunction, members) -> FilteredSpace:
-    members = tuple(members)
-    dims = g.cumulative_dims()
-    if len(members) != len(dims):
-        raise ConfigError("wrong number of filtration steps")
-    for member, dim in zip(members, dims):
-        if member.dim != dim or member.ambient_dim != g.d or member.field != field:
-            raise ConfigError("filtration member has wrong dimension or field")
-    for a, b in zip(members, members[1:]):
-        if not a.is_subspace_of(b):
-            raise ConfigError("filtration members must be nested")
-    return FilteredSpace(field, g, members)
 
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF):

@@ -56,20 +56,6 @@ def simple_reflection(i: int, d: int) -> Perm:
     return tuple(w)
 
 
-def longest_element(d: int) -> Perm:
-    return tuple(range(d, 0, -1))
-
-
-def from_cycle(d: int, cycle: tuple[int, ...]) -> Perm:
-    """The cyclic permutation sending cycle[j] to cycle[j+1]."""
-    if len(set(cycle)) != len(cycle) or any(not 1 <= x <= d for x in cycle):
-        raise ConfigError(f"{cycle} is not a cycle on 1..{d}")
-    w = list(range(1, d + 1))
-    for j, x in enumerate(cycle):
-        w[x - 1] = cycle[(j + 1) % len(cycle)]
-    return tuple(w)
-
-
 def bruhat_leq(u: Perm, w: Perm) -> bool:
     """Bruhat order via the sorted-prefix (dominance) criterion:
     u <= w iff for every i the sorted i-prefix of u is entrywise <= that of w.
@@ -155,14 +141,6 @@ def parabolic_types(d: int):
     for r in range(d):
         for gens in combinations(range(1, d), r):
             yield ParabolicType(d, gens)
-
-
-def stabilizer_type(mu) -> ParabolicType:
-    """Generators of the stabilizer of a weakly decreasing vector."""
-    if not is_weakly_decreasing(mu):
-        raise ConfigError("cocharacter must be weakly decreasing")
-    d = len(mu)
-    return ParabolicType.from_gens(d, (i for i in range(1, d) if mu[i - 1] == mu[i]))
 
 
 def _blocks(mu) -> tuple[tuple[int, int], ...]:

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import from_cycle
 from perdom import cohomology as coh
 from perdom import flagenum
 from perdom.checks import CHECKS
 from perdom.cli import main as cli_main
-from perdom.slopes import ClosedFamily, drinfeld, from_values
-from perdom.weyl import compose, identity, kostant_reps, length, simple_reflection
+from perdom.slopes import ClosedFamily, delta_w, drinfeld, from_values
+from perdom.weyl import bruhat_leq, compose, identity, kostant_reps, length, simple_reflection
 
 SS = ClosedFamily.semistable()
 
@@ -115,10 +116,19 @@ def test_criterion_3_trace_consistency():
                     assert predicted_open == expected[n]
 
 
+def cohomological_degree(w, mu):
+    return 2 * length(w) + len(delta_w(w, mu, SS))
+
+
 def test_criterion_5_degree_reversal_pair():
+    """For mu strictly decreasing of size 5 with zero sum and fourth entry
+    positive, a Bruhat-smaller element lands in a larger degree."""
     with criterion(5, "Bruhat-smaller element with larger induced degree (8, 7)"):
-        mu = tuple(map(Fraction, (4, 3, 2, 1, -10)))
-        assert coh.degree_reversal_pair(mu) == (8, 7)
+        small, big = from_cycle(5, (2, 3, 4)), from_cycle(5, (2, 3, 4, 5))
+        assert small != big and bruhat_leq(small, big)
+        for values in ((4, 3, 2, 1, -10), (5, 4, 3, 2, -14)):
+            mu = tuple(map(Fraction, values))
+            assert (cohomological_degree(small, mu), cohomological_degree(big, mu)) == (8, 7)
 
 
 # Criteria 4 and 6-10 are the verify-all checks, run here on their full grids.

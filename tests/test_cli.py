@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,26 +86,31 @@ def _unguarded(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "argv,patched",
+    "argv",
     [
-        (("table", "--g", ",".join(map(str, range(6, -7, -1))), "--q", "2"), "table_open"),
-        (("dims", "--d", "40", "--q", "2"), "parabolic_types"),
+        ("table", "--g", ",".join(map(str, range(6, -7, -1))), "--q", "2"),
+        ("table", "--g", "9,7,5,3,1,-1,-3,-5,-7,-9", "--q", "2"),
+        ("dims", "--d", "40", "--q", "2"),
+        ("stalk", "--g", "3,1,-1,-3", "--q", "2", "--n", "3"),
     ],
-    ids=["table-13-distinct-values", "dims-d40"],
+    ids=["table-13-distinct-values", "table-10-distinct-values", "dims-d40", "stalk-d4-n3"],
 )
-def test_table_and_dims_exit_four_before_enumerating(argv, patched, capsys, monkeypatch):
+def test_table_and_dims_exit_four_before_enumerating(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli.coh, "table_open", _unguarded)
     monkeypatch.setattr(cli.weyl, "parabolic_types", _unguarded)
+    monkeypatch.setattr(cli.flagenum, "enumerate_flags", _unguarded)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: enumeration needs") and "budget" in err
 
 
 def test_table_and_dims_budget_bounds(capsys, monkeypatch):
-    # 3!/1 = 6 representatives for (2, 1, -3); 3^2 = 9 Moebius terms for d = 3
-    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "5")[0] == 4
-    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "6")[0] == 0
-    assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "3")[0] == 0
+    # 3!/1 = 6 representatives for (2, 1, -3) at d^2 = 9 units each; 3^2 = 9
+    # Moebius terms for d = 3
+    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "53")[0] == 4
+    assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "54")[0] == 0
+    assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "26")[0] == 4
+    assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "27")[0] == 0
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "8")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "9")[0] == 0
     monkeypatch.setenv("PERDOM_BUDGET", "5")
@@ -203,8 +210,9 @@ def test_bad_n_ranges_exit_two(capsys):
         ("table", "--g", "@{tmp}/missing.json", "--q", "2"),
         ("table", "--g", "@{tmp}/not.json", "--q", "2"),
         ("kcomplex", "--d", "3", "--q", "2", "--i0", "a"),
+        ("stalk", "--g", "2,1,-3", "--q", "1"),
     ],
-    ids=["missing-config", "non-json-config", "non-integer-i0"],
+    ids=["missing-config", "non-json-config", "non-integer-i0", "stalk-q-one"],
 )
 def test_bad_inputs_exit_two(argv, tmp_path, capsys):
     (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")
@@ -268,3 +276,24 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "v_B" in proc.stdout
+
+
+def test_cli_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import perdom.cli\n"
+        "print('\\n'.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    # multiprocessing registers the running script under the alias __mp_main__
+    loaded = set(proc.stdout.split()) - {"__mp_main__"}
+    assert "perdom" in loaded
+    assert loaded - sys.stdlib_module_names == {"perdom"}

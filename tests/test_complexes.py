@@ -1,9 +1,9 @@
 import pytest
 
+from oracles import rank_mod_prime
 from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom.errors import ConfigError, InternalCheckError
-from perdom.exactalg.rational import rank_mod_prime
 from perdom.flagenum import enumerate_flags
 from perdom.slopes import ClosedFamily, from_values
 from perdom.weyl import ParabolicType, length, parabolic_types

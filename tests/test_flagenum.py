@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from perdom import flagenum
 from perdom.errors import BudgetExceededError
 from perdom.exactalg.qcount import q_binomial
 from perdom.flagenum import count_points, enumerate_flags, flag_count, rational_subspaces
-from perdom.slopes import ClosedFamily, enumerate_B, from_values, induced_type, subfunction
+from perdom.slopes import ClosedFamily, drinfeld, enumerate_B, from_values, induced_type, subfunction
 from perdom.weyl import kostant_reps, length
 
 SS = ClosedFamily.semistable()
@@ -105,7 +106,7 @@ def test_family_monotonicity():
     assert count_points(g, SS, 2, 2).in_y >= wide
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     g = from_values([2, 1, -3])
     with pytest.raises(BudgetExceededError) as err:
         count_points(g, SS, 2, 3, budget=100)
@@ -113,3 +114,8 @@ def test_budget_guard():
     assert err.value.exit_code == 4
     with pytest.raises(BudgetExceededError):
         list(enumerate_flags(g, 2, 3, budget=10))
+    # priced from q-binomials, before the subspaces of GF(2)^12 are listed
+    monkeypatch.setattr(flagenum, "rational_subspaces", None)
+    with pytest.raises(BudgetExceededError) as err:
+        count_points(drinfeld(12), SS, 2, 1)
+    assert err.value.required == (2**12 - 1) * subspace_count(2, 12)

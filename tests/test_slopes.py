@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import from_cycle
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
 from perdom.exactalg.subspaces import SubspaceGF
@@ -17,7 +18,6 @@ from perdom.slopes import (
     dominates,
     drinfeld,
     enumerate_B,
-    filtered_space,
     from_values,
     h_w_i,
     induced_degree,
@@ -29,7 +29,7 @@ from perdom.slopes import (
     subfunction,
     validate,
 )
-from perdom.weyl import from_cycle, identity, kostant_reps
+from perdom.weyl import identity, kostant_reps
 
 F = Fraction
 
@@ -232,19 +232,7 @@ def standard_flag_gf2():
         frame(f, 3, (1, 0, 0), (0, 1, 0)),
         SubspaceGF.full(f, 3),
     )
-    return filtered_space(f, g, members)
-
-
-def test_filtered_space_validation():
-    g = from_values([2, 1, -3])
-    f = make_field(2, 1)
-    with pytest.raises(ConfigError):
-        filtered_space(f, g, (frame(f, 3, (1, 0, 0)),))
-    with pytest.raises(ConfigError):
-        filtered_space(
-            f, g,
-            (frame(f, 3, (1, 0, 0), (0, 1, 0)), frame(f, 3, (0, 0, 1)), SubspaceGF.full(f, 3)),
-        )
+    return FilteredSpace(f, g, members)
 
 
 def test_induced_type_examples():

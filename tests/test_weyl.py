@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import from_cycle
 from perdom.errors import ConfigError
 from perdom.exactalg.qcount import q_multinomial
 from perdom.weyl import (
@@ -17,21 +18,31 @@ from perdom.weyl import (
     compose,
     coset_min,
     double_coset_reps,
-    from_cycle,
     identity,
     inverse,
     is_kostant,
+    is_weakly_decreasing,
     kostant_reps,
     length,
-    longest_element,
     parabolic_types,
     simple_reflection,
-    stabilizer_type,
 )
 
 
 def frac(xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def longest_element(d):
+    return tuple(range(d, 0, -1))
+
+
+def stabilizer_type(mu) -> ParabolicType:
+    """Generators of the stabilizer of a weakly decreasing vector."""
+    if not is_weakly_decreasing(mu):
+        raise ConfigError("cocharacter must be weakly decreasing")
+    d = len(mu)
+    return ParabolicType.from_gens(d, (i for i in range(1, d) if mu[i - 1] == mu[i]))
 
 
 @lru_cache(maxsize=None)

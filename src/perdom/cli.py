@@ -26,6 +26,7 @@ from .errors import (
     PerdomError,
     TheoremCheckError,
 )
+from .exactalg.qcount import all_flag_points
 from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
@@ -209,7 +210,11 @@ def cmd_zeta(args) -> int:
 
 def cmd_dims(args) -> int:
     d = _resolve_d(args)
-    _require_budget(args, 3 ** (d - 1), "Moebius terms")
+    work, what = 3 ** (d - 1), "Moebius terms"
+    if args.oracle:  # the rank route also builds every coset space
+        work += d**2 * all_flag_points(d, args.q)
+        what = "work units (Moebius terms, d^2 per coset-space point)"
+    _require_budget(args, work, what)
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, args.q)

@@ -162,9 +162,7 @@ class FieldSpec:
         return self._add_raw(a, b)
 
     def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (-a) % self.p
-        return _encode([(-x) % self.p for x in _decode(a, self.p, self.n)], self.p)
+        return self.mul(self.p - 1, a)  # p - 1 is -1 in the prime subfield
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

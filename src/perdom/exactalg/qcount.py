@@ -31,3 +31,11 @@ def q_multinomial(parts: tuple[int, ...], q: int) -> int:
         total += part
         out *= q_binomial(total, part, q)
     return out
+
+
+def all_flag_points(d: int, q: int) -> int:
+    """Partial flags of GF(q)^d of every type: F(0) = 1, F(m) = sum_k [m; k]_q F(m - k)."""
+    f = [1]
+    for m in range(1, d + 1):
+        f.append(sum(q_binomial(m, k, q) * f[m - k] for k in range(1, m + 1)))
+    return f[d]

@@ -29,12 +29,14 @@ def rref(field: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
+        # rows r.. are zero left of column c, so only columns c.. change
         inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        piv = mat[r][c:] = [field.mul(inv, x) for x in mat[r][c:]]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i][c:] = [field.sub(x, field.mul(f, y)) if y else x
+                              for x, y in zip(mat[i][c:], piv)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -56,22 +58,6 @@ def mat_mul(field: FieldSpec, a, b) -> tuple[tuple[int, ...], ...]:
             new.append(acc)
         out.append(tuple(new))
     return tuple(out)
-
-
-def right_kernel(field: FieldSpec, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : rows . x = 0} (column-vector kernel)."""
-    red, pivots = rref(field, rows) if rows else ((), ())
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            # solve pivot entries against the free column
-            vec[c] = field.neg(red[r][f])
-        basis.append(tuple(vec))
-    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -107,43 +93,23 @@ class SubspaceGF:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ConfigError("subspace operation across different ambients")
 
-    def contains_vector(self, v) -> bool:
-        v = list(v)
-        for row in self.basis:
-            pc = next(i for i, x in enumerate(row) if x == 1)
-            if v[pc]:
-                f = v[pc]
-                v = [self.field.sub(x, self.field.mul(f, y)) for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
-
     def is_subspace_of(self, other: "SubspaceGF") -> bool:
-        self._check_compatible(other)
-        return all(other.contains_vector(row) for row in self.basis)
+        return self.sum_with(other) == other
 
     def sum_with(self, other: "SubspaceGF") -> "SubspaceGF":
         self._check_compatible(other)
         return SubspaceGF.from_rows(self.field, self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "SubspaceGF") -> "SubspaceGF":
+        # Zassenhaus: in the echelon form of the rows (a | a) over (b | 0), a row
+        # with its pivot in the right half reads (a + b | a) = (0 | a), a in both;
+        # those right halves are the reduced echelon basis of the intersection
         self._check_compatible(other)
-        if not self.basis or not other.basis:
-            return SubspaceGF.zero(self.field, self.ambient_dim)
-        stacked = self.basis + other.basis
-        # coefficient vectors (c, c') with c.A + c'.B = 0 give points of A meet B
-        transposed = tuple(zip(*stacked))
-        kern = right_kernel(self.field, transposed, len(stacked))
-        a = self.dim
-        vecs = []
-        for coeffs in kern:
-            vec = [0] * self.ambient_dim
-            for ci, row in zip(coeffs[:a], self.basis):
-                if ci:
-                    vec = [
-                        self.field.add(x, self.field.mul(ci, y))
-                        for x, y in zip(vec, row)
-                    ]
-            vecs.append(tuple(vec))
-        return SubspaceGF.from_rows(self.field, self.ambient_dim, vecs)
+        d = self.ambient_dim
+        rows = [a + a for a in self.basis] + [b + (0,) * d for b in other.basis]
+        red, pivots = rref(self.field, rows)
+        basis = tuple(row[d:] for row, c in zip(red, pivots) if c >= d)
+        return SubspaceGF(self.field, d, basis)
 
     def extend_scalars(self, target: FieldSpec) -> "SubspaceGF":
         """Reinterpret the echelon basis over an extension of the prime field."""

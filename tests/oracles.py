@@ -3,12 +3,16 @@
 rank_mod_prime is a numpy elimination over GF(p), a route that shares no
 code with perdom's exact rational rank; the tests compare the two.  Over a
 large prime the ranks agree on the small integer matrices the tests build.
+kernel_intersection is the kernel route to a subspace intersection over
+GF(q), the one perdom used before its single-echelon (Zassenhaus) route.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from perdom.exactalg.subspaces import SubspaceGF, rref
 
 _NP_LIMIT = 2**31  # residues below this keep every int64 product exact
 
@@ -61,3 +65,31 @@ def from_cycle(d: int, cycle: tuple[int, ...]) -> tuple[int, ...]:
     for j, x in enumerate(cycle):
         w[x - 1] = cycle[(j + 1) % len(cycle)]
     return tuple(w)
+
+
+def right_kernel(field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of {x : rows . x = 0} (column-vector kernel)."""
+    red, pivots = rref(field, rows) if rows else ((), ())
+    pivot_set = set(pivots)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = field.neg(red[r][f])
+        basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def kernel_intersection(a: SubspaceGF, b: SubspaceGF) -> SubspaceGF:
+    """A meet B from the coefficient vectors (c, c') with c.A + c'.B = 0,
+    recombined as c.A and brought to echelon form."""
+    field, d = a.field, a.ambient_dim
+    stacked = a.basis + b.basis
+    vecs = []
+    for coeffs in right_kernel(field, tuple(zip(*stacked)), len(stacked)):
+        vec = [0] * d
+        for ci, row in zip(coeffs[: a.dim], a.basis):
+            vec = [field.add(x, field.mul(ci, y)) for x, y in zip(vec, row)]
+        vecs.append(tuple(vec))
+    return SubspaceGF.from_rows(field, d, vecs)

@@ -91,9 +91,16 @@ def _unguarded(*args, **kwargs):
         ("table", "--g", ",".join(map(str, range(6, -7, -1))), "--q", "2"),
         ("table", "--g", "9,7,5,3,1,-1,-3,-5,-7,-9", "--q", "2"),
         ("dims", "--d", "40", "--q", "2"),
+        ("dims", "--d", "6", "--q", "2", "--oracle"),
         ("stalk", "--g", "3,1,-1,-3", "--q", "2", "--n", "3"),
     ],
-    ids=["table-13-distinct-values", "table-10-distinct-values", "dims-d40", "stalk-d4-n3"],
+    ids=[
+        "table-13-distinct-values",
+        "table-10-distinct-values",
+        "dims-d40",
+        "dims-oracle-d6",
+        "stalk-d4-n3",
+    ],
 )
 def test_table_and_dims_exit_four_before_enumerating(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli.coh, "table_open", _unguarded)
@@ -113,6 +120,9 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "27")[0] == 0
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "8")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "9")[0] == 0
+    # --oracle adds d^2 units for each of the 36 points of all coset spaces of GF(2)^3
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "332")[0] == 4
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "333")[0] == 0
     monkeypatch.setenv("PERDOM_BUDGET", "5")
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2")[0] == 4

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from perdom.errors import ConfigError
@@ -62,8 +64,14 @@ def test_prime_subfield_embeds_as_constants():
 
 
 def test_large_field_without_tables():
-    f = make_field(2, 10)  # above the table limit, on-the-fly arithmetic
-    a, b = 517, 890
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.mul(a, b) == f.mul(b, a)
-    assert f.pow(a, f.order - 1) == 1
+    # above the table limit, on-the-fly arithmetic; GF(3^7) has odd p
+    for p, n in [(2, 10), (3, 7)]:
+        f = make_field(p, n)
+        a, b = 517, 890
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.pow(a, f.order - 1) == 1
+        assert f.neg(1) == p - 1
+        for x in random.Random(f.order).sample(range(f.order), 50):
+            assert f.add(x, f.neg(x)) == 0
+            assert f.neg(f.neg(x)) == x

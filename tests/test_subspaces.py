@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import kernel_intersection
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
 from perdom.exactalg.qcount import q_binomial, q_multinomial
@@ -125,8 +126,19 @@ def test_extend_scalars_rejects_unrelated_fields():
 def test_contains_vector():
     f = make_field(2, 1)
     plane = span(f, 3, ((1, 0, 1), (0, 1, 1)))
-    assert plane.contains_vector((1, 1, 0))
-    assert not plane.contains_vector((1, 0, 0))
+    assert span(f, 3, [(1, 1, 0)]).is_subspace_of(plane)
+    assert not span(f, 3, [(1, 0, 0)]).is_subspace_of(plane)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+def test_intersect_matches_kernel_oracle_all_pairs(p, n, d):
+    f = make_field(p, n)
+    all_subs = [s for k in range(d + 1) for s in enumerate_subspaces(f, d, k)]
+    for a in all_subs:
+        for b in all_subs:
+            meet = a.intersect(b)
+            assert meet == kernel_intersection(a, b)
+            assert meet == span(f, d, meet.basis)
 
 
 @pytest.mark.parametrize(

@@ -26,10 +26,12 @@ from .errors import (
     PerdomError,
     TheoremCheckError,
 )
+from .exactalg.gf import is_prime
 from .exactalg.qcount import all_flag_points
 from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
+DEFAULT_BUDGET = 10_000_000
 
 
 def _parse_g(args) -> slopes.SlopeFunction:
@@ -86,14 +88,18 @@ def _budget(args) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"bad {ENV_BUDGET} value {env!r}") from exc
-    return flagenum.DEFAULT_BUDGET
+    return DEFAULT_BUDGET
 
 
 def _require_budget(args, required: int, what: str):
-    """Exit 4 before an enumeration of `required` items that exceeds the budget."""
+    """The one budget gate: every enumerating command calls it once, in the
+    parent process, and exits 4 before enumerating more than the budget."""
     budget = _budget(args)
     if required > budget:
-        raise BudgetExceededError(required, budget, what)
+        raise_with = f"--budget or {ENV_BUDGET}" if hasattr(args, "budget") else ENV_BUDGET
+        raise BudgetExceededError(
+            f"enumeration needs {required} {what}, budget is {budget} (raise with {raise_with})"
+        )
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
@@ -125,10 +131,23 @@ def _emit_text(text: str, path: str | None):
             fh.write(text)
 
 
-def _resolve_d(args) -> int:
-    if getattr(args, "d", None):
-        return args.d
-    return _parse_g(args).d
+def _resolve_dq(args) -> tuple[int, int]:
+    """(d, q) from --d (or the slope function) and --q, checked before pricing."""
+    d = _parse_g(args).d if args.d is None else args.d
+    if d < 1:
+        raise ConfigError(f"--d must be at least 1, got {d}")
+    if not is_prime(args.q):
+        raise ConfigError(f"base field size must be prime, got {args.q}")
+    return d, args.q
+
+
+def _parse_family(args) -> slopes.ClosedFamily:
+    family = slopes.parse_family(args.family)
+    if not family.within_ss:
+        raise ConfigError(
+            f"{args.command} needs a family of positive degrees, got {family.describe()}"
+        )
+    return family
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -166,9 +185,9 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _zeta_one(g, family, q, n, budget):
+def _zeta_one(g, family, q, n):
     predicted_open, predicted_closed, total = coh.predicted_counts(g, family, q, n)
-    report = flagenum.count_points(g, family, q, n, budget=budget)
+    report = flagenum.count_points(g, family, q, n)
     return {
         "n": n,
         "predicted_open": predicted_open,
@@ -183,10 +202,12 @@ def _zeta_one(g, family, q, n, budget):
 
 def cmd_zeta(args) -> int:
     g = _parse_g(args)
-    family = slopes.parse_family(args.family)
+    family = _parse_family(args)
     ns = _parse_n_range(args.n) or (1,)
-    budget = _budget(args)
-    rows = _map_jobs(_zeta_one, [(g, family, args.q, n, budget) for n in ns], args.jobs)
+    # every flag is classified against every rational subspace; the price
+    # grows with n, so the largest n decides
+    _require_budget(args, flagenum.classification_tests(g, args.q, max(ns)), "flag/subspace tests")
+    rows = _map_jobs(_zeta_one, [(g, family, args.q, n) for n in ns], args.jobs)
     ok = True
     for row in rows:
         match = (
@@ -209,16 +230,16 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    d = _resolve_d(args)
+    d, q = _resolve_dq(args)
     work, what = 3 ** (d - 1), "Moebius terms"
     if args.oracle:  # the rank route also builds every coset space
-        work += d**2 * all_flag_points(d, args.q)
+        work += d**2 * all_flag_points(d, q)
         what = "work units (Moebius terms, d^2 per coset-space point)"
     _require_budget(args, work, what)
     rows = []
     for ptype in weyl.parabolic_types(d):
-        di = coh.dim_induced(ptype, args.q)
-        dv = coh.check_dim_v(ptype, args.q) if args.oracle else coh.dim_v(ptype, args.q)
+        di = coh.dim_induced(ptype, q)
+        dv = coh.check_dim_v(ptype, q) if args.oracle else coh.dim_v(ptype, q)
         rows.append(
             {
                 "I": list(ptype.gens),
@@ -231,21 +252,23 @@ def cmd_dims(args) -> int:
             f"I={list(ptype.gens)} composition={list(ptype.composition())} "
             f"dim_i={di} dim_v={dv}\n"
         )
-    _emit_json({"d": d, "q": args.q, "oracle": bool(args.oracle), "rows": rows}, args.json)
+    _emit_json({"d": d, "q": q, "oracle": bool(args.oracle), "rows": rows}, args.json)
     return 0
 
 
 def cmd_kcomplex(args) -> int:
-    d = _resolve_d(args)
-    q = args.q
+    d, q = _resolve_dq(args)
+    i0 = cuts = None
     if args.i0:
         try:
             gens = [int(x) for x in args.i0.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
-        subsets = [ParabolicType.from_gens(d, gens)]
-    else:
-        subsets = [p for p in weyl.parabolic_types(d) if not p.is_full]
+        i0 = ParabolicType.from_gens(d, gens)
+        cuts = i0.complement()  # K(I0) builds the coset space of every J containing I0
+    # d^2 units per coset-space point, as for dims --oracle
+    _require_budget(args, d**2 * all_flag_points(d, q, cuts), "work units (d^2 per coset-space point)")
+    subsets = [i0] if i0 is not None else [p for p in weyl.parabolic_types(d) if not p.is_full]
     signs = "index" if args.corrupt_signs else "position"
     if args.corrupt_signs:
         subsets = [p for p in subsets if checks.corruptible(p)]
@@ -268,18 +291,15 @@ def cmd_kcomplex(args) -> int:
 
 def cmd_stalk(args) -> int:
     g = _parse_g(args)
-    family = slopes.parse_family(args.family)
-    if not family.within_ss:
-        raise ConfigError("stalk checks need a family of positive degrees")
+    family = _parse_family(args)
     ns = _parse_n_range(args.n) or (1,)
     # every flag is classified against every rational subspace
     _require_budget(args, flagenum.classification_tests(g, args.q, max(ns)), "flag/subspace tests")
-    budget = _budget(args)
     all_ok = True
     rows = []
     for n in ns:
         flags = in_y = failed = 0
-        for flag in flagenum.enumerate_flags(g, args.q, n, budget=budget):
+        for flag in flagenum.enumerate_flags(g, args.q, n):
             flags += 1
             rep = cx.stalk_report(flag, family)
             if rep.in_y:
@@ -302,11 +322,7 @@ def cmd_stalk(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    family = slopes.parse_family(args.family)
-    if not family.within_ss:
-        raise ConfigError(
-            f"verify-all needs a family of positive degrees, got {family.describe()}"
-        )
+    family = _parse_family(args)
     signs = "index" if args.corrupt_signs else "position"
     lines: list[str] = []
     for name, check in checks.CHECKS:
@@ -340,7 +356,7 @@ def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False, job
         sub.add_argument("--n", help='extension degrees, e.g. "2" or "1..3"')
     if budget:
         sub.add_argument("--budget", type=int,
-                         help=f"work budget (default {flagenum.DEFAULT_BUDGET}, env {ENV_BUDGET})")
+                         help=f"work budget (default {DEFAULT_BUDGET}, env {ENV_BUDGET})")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="parallel worker processes (at most one per task and CPU)")

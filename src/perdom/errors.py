@@ -31,11 +31,3 @@ class BudgetExceededError(PerdomError):
     """An enumeration would exceed the configured work budget."""
 
     exit_code = 4
-
-    def __init__(self, required: int, budget: int, what: str = "flag/subspace tests"):
-        self.required = required
-        self.budget = budget
-        super().__init__(
-            f"enumeration needs {required} {what}, budget is {budget} "
-            f"(raise with --budget or PERDOM_BUDGET)"
-        )

@@ -62,21 +62,9 @@ def _is_irreducible(coeffs, p):
     for deg in range(1, n // 2 + 1):
         for code in range(p**deg):
             div = _decode(code, p, deg) + [1]
-            if _poly_rem_is_zero(coeffs, div, p):
+            if not any(_poly_mod(coeffs, div, p)):
                 return False
     return n >= 1
-
-
-def _poly_rem_is_zero(a, div, p):
-    a = list(a)
-    dd = len(div) - 1
-    for i in range(len(a) - 1, dd - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dd):
-                a[i - dd + j] = (a[i - dd + j] - c * div[j]) % p
-    return all(x == 0 for x in a[:dd])
 
 
 def _decode(e, p, n):
@@ -126,9 +114,6 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.n, self.modulus))
-
-    def elements(self):
-        return range(self.order)
 
     def _build_tables(self):
         q = self.order
@@ -193,15 +178,15 @@ class FieldSpec:
 
 
 @lru_cache(maxsize=None)
-def make_field(p: int, n: int, max_order: int = DEFAULT_ORDER_BOUND) -> FieldSpec:
+def make_field(p: int, n: int) -> FieldSpec:
     """Construct GF(p^n) with the canonical modulus.
 
-    Raises ConfigError for non-prime p, n < 1, or order above `max_order`.
+    Raises ConfigError for non-prime p, n < 1, or order above DEFAULT_ORDER_BOUND.
     """
     if not is_prime(p):
         raise ConfigError(f"p = {p} is not prime")
     if n < 1:
         raise ConfigError(f"extension degree must be >= 1, got {n}")
-    if p**n > max_order:
-        raise ConfigError(f"field order {p}^{n} exceeds the bound {max_order}")
+    if p**n > DEFAULT_ORDER_BOUND:
+        raise ConfigError(f"field order {p}^{n} exceeds the bound {DEFAULT_ORDER_BOUND}")
     return FieldSpec(p, n, _smallest_irreducible(p, n))

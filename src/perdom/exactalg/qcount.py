@@ -33,9 +33,12 @@ def q_multinomial(parts: tuple[int, ...], q: int) -> int:
     return out
 
 
-def all_flag_points(d: int, q: int) -> int:
-    """Partial flags of GF(q)^d of every type: F(0) = 1, F(m) = sum_k [m; k]_q F(m - k)."""
+def all_flag_points(d: int, q: int, cuts=None) -> int:
+    """Partial flags of GF(q)^d whose member dimensions all lie in `cuts`
+    (default: every type): F(0) = 1, F(m) = sum over c < m with c = 0 or c
+    in cuts of [m; c]_q F(c), the largest proper member having dimension c."""
+    allowed = set(range(d) if cuts is None else cuts) | {0}
     f = [1]
     for m in range(1, d + 1):
-        f.append(sum(q_binomial(m, k, q) * f[m - k] for k in range(1, m + 1)))
+        f.append(sum(q_binomial(m, c, q) * f[c] for c in range(m) if c in allowed))
     return f[d]

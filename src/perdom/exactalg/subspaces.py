@@ -74,10 +74,6 @@ class SubspaceGF:
         return cls(field, ambient_dim, red)
 
     @classmethod
-    def zero(cls, field: FieldSpec, ambient_dim: int) -> "SubspaceGF":
-        return cls(field, ambient_dim, ())
-
-    @classmethod
     def full(cls, field: FieldSpec, ambient_dim: int) -> "SubspaceGF":
         rows = tuple(
             tuple(1 if i == j else 0 for j in range(ambient_dim))

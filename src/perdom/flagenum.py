@@ -3,7 +3,8 @@
 Enumerates every flag of a prescribed type exactly once (canonical echelon
 chains, largest member first), classifies each against a degree-threshold
 family using all prime-field rational subspaces, and reports exact counts.
-A work budget guards against accidentally huge instances.
+flag_count and classification_tests price an enumeration without running it;
+callers compare that price against their work budget first.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError
 from .exactalg.gf import is_prime, make_field
 from .exactalg.qcount import q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
 from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,8 @@ def classification_tests(g: SlopeFunction, p: int, n: int) -> int:
     return flag_count(g, p, n) * sum(q_binomial(g.d, k, p) for k in range(1, g.d))
 
 
-def _check_budget(required: int, budget: int | None):
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-
-
-def enumerate_flags(g: SlopeFunction, p: int, n: int, budget: int | None = None):
+def enumerate_flags(g: SlopeFunction, p: int, n: int):
     """Yield every flag of type g over GF(p^n) exactly once."""
-    _check_budget(flag_count(g, p, n), budget)
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
@@ -69,15 +61,12 @@ def enumerate_flags(g: SlopeFunction, p: int, n: int, budget: int | None = None)
         yield FilteredSpace(field, g, chain + (full,))
 
 
-def count_points(
-    g: SlopeFunction, family: ClosedFamily, p: int, n: int, budget: int | None = None
-) -> CountReport:
+def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> CountReport:
     """Classify every flag of type g over GF(p^n) against the family."""
-    _check_budget(classification_tests(g, p, n), budget)
     subspaces = rational_subspaces(p, g.d)
     total = 0
     in_y = 0
-    for flag in enumerate_flags(g, p, n, budget=budget):
+    for flag in enumerate_flags(g, p, n):
         total += 1
         if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
             in_y += 1

@@ -93,6 +93,10 @@ def _unguarded(*args, **kwargs):
         ("dims", "--d", "40", "--q", "2"),
         ("dims", "--d", "6", "--q", "2", "--oracle"),
         ("stalk", "--g", "3,1,-1,-3", "--q", "2", "--n", "3"),
+        ("zeta", "--drinfeld", "12", "--q", "2"),
+        ("zeta", "--g", "3,1,-1,-3", "--q", "2", "--n", "1..3"),
+        ("kcomplex", "--d", "6", "--q", "2"),
+        ("kcomplex", "--d", "40", "--q", "2"),
     ],
     ids=[
         "table-13-distinct-values",
@@ -100,12 +104,18 @@ def _unguarded(*args, **kwargs):
         "dims-d40",
         "dims-oracle-d6",
         "stalk-d4-n3",
+        "zeta-drinfeld-12",
+        "zeta-d4-n3",
+        "kcomplex-d6",
+        "kcomplex-d40",
     ],
 )
 def test_table_and_dims_exit_four_before_enumerating(argv, capsys, monkeypatch):
     monkeypatch.setattr(cli.coh, "table_open", _unguarded)
     monkeypatch.setattr(cli.weyl, "parabolic_types", _unguarded)
     monkeypatch.setattr(cli.flagenum, "enumerate_flags", _unguarded)
+    monkeypatch.setattr(cli.flagenum, "count_points", _unguarded)
+    monkeypatch.setattr(cli.checks, "induction_report", _unguarded)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error: enumeration needs") and "budget" in err
@@ -123,9 +133,28 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     # --oracle adds d^2 units for each of the 36 points of all coset spaces of GF(2)^3
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "332")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "333")[0] == 0
+    # the largest n prices zeta: 105 flags over GF(4) times 14 rational subspaces,
+    # checked in the parent before any worker starts
+    zeta = ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2", "--jobs", "2")
+    assert run(capsys, *zeta, "--budget", "1469")[0] == 4
+    assert run(capsys, *zeta, "--budget", "1470")[0] == 0
     monkeypatch.setenv("PERDOM_BUDGET", "5")
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2")[0] == 4
+
+
+@pytest.mark.parametrize(
+    "budget,i0,code",
+    [("323", (), 4), ("324", (), 0), ("71", ("--i0", "1"), 4), ("72", ("--i0", "1"), 0)],
+)
+def test_kcomplex_budget_bounds(budget, i0, code, capsys, monkeypatch):
+    # d^2 units for each of the 36 coset-space points of GF(2)^3, or for the
+    # 1 + 7 points of the J containing I0 = {1}; kcomplex has no --budget
+    monkeypatch.setenv("PERDOM_BUDGET", budget)
+    got, _, err = run(capsys, "kcomplex", "--d", "3", "--q", "2", *i0)
+    assert got == code
+    if code == 4:
+        assert err.endswith("(raise with PERDOM_BUDGET)\n")
 
 
 def test_dims_oracle(capsys):
@@ -198,7 +227,7 @@ def test_zeta_mismatch_exits_three(capsys, monkeypatch):
     import perdom.cli as cli_mod
     from perdom.flagenum import CountReport
 
-    def broken_count(g, family, p, n, budget=None):
+    def broken_count(g, family, p, n):
         total = 21
         return CountReport(q=p, n=n, total=total, in_y=total - 1, in_open=1)
 
@@ -221,8 +250,25 @@ def test_bad_n_ranges_exit_two(capsys):
         ("table", "--g", "@{tmp}/not.json", "--q", "2"),
         ("kcomplex", "--d", "3", "--q", "2", "--i0", "a"),
         ("stalk", "--g", "2,1,-3", "--q", "1"),
+        ("dims", "--d", "0", "--q", "2"),
+        ("dims", "--d", "-2", "--q", "2"),
+        ("kcomplex", "--d", "-1", "--q", "2"),
+        ("dims", "--d", "-2", "--q", "2", "--oracle"),
+        ("dims", "--d", "3", "--q", "1", "--oracle"),
+        ("kcomplex", "--d", "3", "--q", "1"),
     ],
-    ids=["missing-config", "non-json-config", "non-integer-i0", "stalk-q-one"],
+    ids=[
+        "missing-config",
+        "non-json-config",
+        "non-integer-i0",
+        "stalk-q-one",
+        "dims-d-zero",
+        "dims-d-negative",
+        "kcomplex-d-negative",
+        "dims-oracle-d-negative",
+        "dims-oracle-q-one",
+        "kcomplex-q-one",
+    ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path, capsys):
     (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")

@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perdom import cohomology as coh
 from perdom.errors import ConfigError
+from perdom.exactalg.qcount import all_flag_points
 from perdom.slopes import (
     ClosedFamily,
     I_w,
@@ -43,6 +46,18 @@ def test_dim_induced_matches_coset_space_sizes():
         for q in (2, 3):
             for ptype in parabolic_types(d):
                 assert coh.dim_induced(ptype, q) == len(coset_space(ptype, q))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cut_flag_points_sum_the_induced_dims_over_supersets(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    q = data.draw(st.sampled_from((2, 3, 5)), label="q")
+    gens = data.draw(st.sets(st.integers(1, d - 1)) if d > 1 else st.just(set()), label="I")
+    ptype = ParabolicType.from_gens(d, gens)
+    supersets = [j for j in parabolic_types(d) if ptype.issubset(j)]
+    expected = sum(coh.dim_induced(j, q) for j in supersets)
+    assert all_flag_points(d, q, ptype.complement()) == expected
 
 
 def test_dim_v_examples():

@@ -13,6 +13,10 @@ def test_canonical_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)  # x^2+x+1, the only choice
     assert make_field(2, 3).modulus == (1, 1, 0, 1)  # x^3+x+1
     assert make_field(3, 2).modulus == (1, 0, 1)  # x^2+1
+    assert make_field(2, 4).modulus == (1, 1, 0, 0, 1)  # x^4+x+1
+    assert make_field(2, 10).modulus == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)  # x^10+x^3+1
+    assert make_field(3, 7).modulus == (2, 0, 1, 0, 0, 0, 0, 1)  # x^7+x^2+2
+    assert make_field(5, 3).modulus == (1, 1, 0, 1)  # x^3+x+1
 
 
 def test_make_field_rejects_bad_input():
@@ -31,14 +35,14 @@ def test_make_field_is_cached():
 @pytest.mark.parametrize("p,n", [(3, 2), (2, 3), (3, 3)])
 def test_frobenius_power_fixes_field(p, n):
     f = make_field(p, n)
-    for a in f.elements():
+    for a in range(f.order):
         assert f.pow(a, p**n) == a
 
 
 @pytest.mark.parametrize("p,n", AXIOM_FIELDS)
 def test_field_axioms_exhaustive(p, n):
     f = make_field(p, n)
-    els = list(f.elements())
+    els = range(f.order)
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a

@@ -247,7 +247,7 @@ def test_induced_type_examples():
     assert induced_type(flag, SubspaceGF.full(f, 3)).values == flag.slope.mu
     assert induced_degree(flag, SubspaceGF.full(f, 3)) == 0
     with pytest.raises(ConfigError):
-        induced_type(flag, SubspaceGF.zero(f, 3))
+        induced_type(flag, SubspaceGF(f, 3, ()))
 
 
 def test_projective_line_semistability():

@@ -55,7 +55,7 @@ def test_enumeration_counts_match_gaussian_binomials(d, q):
 
 def test_zero_dim_is_the_zero_subspace():
     f = make_field(5, 1)
-    assert enumerate_subspaces(f, 3, 0) == (SubspaceGF.zero(f, 3),)
+    assert enumerate_subspaces(f, 3, 0) == (SubspaceGF(f, 3, ()),)
 
 
 def test_coordinate_plane_intersection_in_dim_four():

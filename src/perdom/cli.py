@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import cohomology as coh
@@ -112,6 +111,9 @@ def _map_jobs(fn, tasks, jobs: int) -> list:
     """fn(*task) for each task, in order, on min(jobs, #tasks, #cpus) worker processes."""
     workers = _worker_count(jobs, len(tasks))
     if workers > 1:
+        # imported here so that single-worker runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*t) for t in tasks]
@@ -258,6 +260,8 @@ def cmd_dims(args) -> int:
 
 def cmd_kcomplex(args) -> int:
     d, q = _resolve_dq(args)
+    if d < 2:
+        raise ConfigError("kcomplex needs --d >= 2: at d = 1 there is no proper reflection subset")
     i0 = cuts = None
     if args.i0:
         try:

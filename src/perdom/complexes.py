@@ -228,14 +228,26 @@ def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> StalkPoset:
     return StalkPoset(tuple(sorted(verts, key=SubspaceGF.sort_key)))
 
 
+@lru_cache(maxsize=None)
+def _containment(p: int, d: int):
+    """Position of each rational subspace of GF(p)^d, and for each position
+    the positions of the rational subspaces properly containing it, ascending.
+    Positions follow `rational_subspaces`, which is sorted like stalk vertices."""
+    subs = rational_subspaces(p, d)
+    above = tuple(
+        tuple(j for j, v in enumerate(subs) if u.dim < v.dim and u.is_subspace_of(v))
+        for u in subs
+    )
+    return {u: i for i, u in enumerate(subs)}, above
+
+
 def _stalk_chains(sp: StalkPoset) -> list[list[tuple[int, ...]]]:
     """Chains of the poset grouped by length (order-complex simplices)."""
     verts = sp.vertices
     n = len(verts)
-    above = [
-        [j for j in range(n) if verts[i].dim < verts[j].dim and verts[i].is_subspace_of(verts[j])]
-        for i in range(n)
-    ]
+    position, contained_in = _containment(verts[0].field.p, verts[0].ambient_dim)
+    local = {position[v]: i for i, v in enumerate(verts)}
+    above = [[local[j] for j in contained_in[position[v]] if j in local] for v in verts]
     levels: list[list[tuple[int, ...]]] = []
     current = [(i,) for i in range(n)]
     while current:

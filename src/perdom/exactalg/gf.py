@@ -17,7 +17,7 @@ from functools import lru_cache
 from ..errors import ConfigError
 
 DEFAULT_ORDER_BOUND = 2**20
-_TABLE_LIMIT = 512  # precompute add/mul tables up to this field order
+_TABLE_LIMIT = 512  # precompute add/mul/inverse tables up to this field order
 
 
 def is_prime(m: int) -> bool:
@@ -100,6 +100,7 @@ class FieldSpec:
         self.order = p**n
         self._mul_table = None
         self._add_table = None
+        self._inv_table = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -107,7 +108,7 @@ class FieldSpec:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FieldSpec)
             and (self.p, self.n, self.modulus) == (other.p, other.n, other.modulus)
         )
@@ -127,6 +128,7 @@ class FieldSpec:
                 mul[a][b] = mul[b][a] = m
         self._add_table = tuple(tuple(r) for r in add)
         self._mul_table = tuple(tuple(r) for r in mul)
+        self._inv_table = (0,) + tuple(row.index(1) for row in self._mul_table[1:])
 
     def _add_raw(self, a, b):
         if self.n == 1:
@@ -157,6 +159,20 @@ class FieldSpec:
             return self._mul_table[a][b]
         return self._mul_raw(a, b)
 
+    def scale(self, a: int, ys) -> list[int]:
+        """a * y for each y in ys."""
+        if self._mul_table is not None:
+            row = self._mul_table[a]
+            return [row[y] for y in ys]
+        return [self.mul(a, y) for y in ys]
+
+    def axpy(self, xs, a: int, ys) -> list[int]:
+        """x + a * y entry by entry."""
+        if self._mul_table is not None:
+            add, row = self._add_table, self._mul_table[a]
+            return [add[x][row[y]] for x, y in zip(xs, ys)]
+        return [self.add(x, self.mul(a, y)) for x, y in zip(xs, ys)]
+
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -171,6 +187,8 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
+        if self._inv_table is not None:
+            return self._inv_table[a]
         return self.pow(a, self.order - 2)
 
     def is_extension_of(self, other: "FieldSpec") -> bool:

@@ -25,18 +25,18 @@ def rref(field: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if sel is None:
+        for sel in range(r, nrows):
+            if mat[sel][c]:
+                break
+        else:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
         # rows r.. are zero left of column c, so only columns c.. change
-        inv = field.inv(mat[r][c])
-        piv = mat[r][c:] = [field.mul(inv, x) for x in mat[r][c:]]
+        piv = mat[r][c:] = field.scale(field.inv(mat[r][c]), mat[r][c:])
         for i in range(nrows):
             f = mat[i][c]
             if i != r and f != 0:
-                mat[i][c:] = [field.sub(x, field.mul(f, y)) if y else x
-                              for x, y in zip(mat[i][c:], piv)]
+                mat[i][c:] = field.axpy(mat[i][c:], field.neg(f), piv)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -46,17 +46,14 @@ def rref(field: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int
 
 def mat_mul(field: FieldSpec, a, b) -> tuple[tuple[int, ...], ...]:
     """Product of matrices with entries in `field` (rows of tuples)."""
-    bt = list(zip(*b))
+    ncols = len(b[0]) if b else 0
     out = []
     for row in a:
-        new = []
-        for col in bt:
-            acc = 0
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = field.add(acc, field.mul(x, y))
-            new.append(acc)
-        out.append(tuple(new))
+        acc = [0] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                acc = field.axpy(acc, x, brow)
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -99,13 +96,22 @@ class SubspaceGF:
     def intersect(self, other: "SubspaceGF") -> "SubspaceGF":
         # Zassenhaus: in the echelon form of the rows (a | a) over (b | 0), a row
         # with its pivot in the right half reads (a + b | a) = (0 | a), a in both;
-        # those right halves are the reduced echelon basis of the intersection
+        # those right halves are the reduced echelon basis of the intersection.
+        # The rows (b | 0) are already reduced, so clear their pivot columns
+        # (each row's leading 1) from every (a | a) and echelon only those rows
         self._check_compatible(other)
-        d = self.ambient_dim
-        rows = [a + a for a in self.basis] + [b + (0,) * d for b in other.basis]
-        red, pivots = rref(self.field, rows)
+        field, d = self.field, self.ambient_dim
+        rows = []
+        for a in self.basis:
+            left = a
+            for b in other.basis:
+                f = left[b.index(1)]
+                if f:
+                    left = field.axpy(left, field.neg(f), b)
+            rows.append((*left, *a))
+        red, pivots = rref(field, rows)
         basis = tuple(row[d:] for row, c in zip(red, pivots) if c >= d)
-        return SubspaceGF(self.field, d, basis)
+        return SubspaceGF(field, d, basis)
 
     def extend_scalars(self, target: FieldSpec) -> "SubspaceGF":
         """Reinterpret the echelon basis over an extension of the prime field."""

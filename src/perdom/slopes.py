@@ -13,9 +13,10 @@ they are stored as a threshold plus a strictness flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 
 from .errors import ConfigError, InternalCheckError
@@ -57,6 +58,12 @@ class SlopeFunction:
         for x, m in self.pairs:
             out.extend([x] * m)
         return tuple(out)
+
+    @cached_property
+    def scaled_values(self) -> tuple[int, tuple[int, ...]]:
+        """(D, the values times D) for the least common denominator D."""
+        den = math.lcm(*(x.denominator for x in self.values))
+        return den, tuple(int(x * den) for x in self.values)
 
     def cumulative_dims(self) -> tuple[int, ...]:
         out = []
@@ -312,15 +319,16 @@ class FilteredSpace:
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF):
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
-    The last member is the full space, so its intersection is free."""
-    uk = u.extend_scalars(flag.field)
-    out = []
-    prev = 0
-    for member in flag.members[:-1]:
-        cur = uk.intersect(member).dim
-        out.append(cur - prev)
-        prev = cur
-    out.append(uk.dim - prev)
+    Intersects from the top down, U meet F_j = (U meet F_{j+1}) meet F_j, and
+    stops at the first zero meet; the last member is the full space."""
+    out = [0] * len(flag.members)
+    meet = u.extend_scalars(flag.field)
+    dim, j = meet.dim, len(out) - 1
+    while j and dim:
+        meet = meet.intersect(flag.members[j - 1])
+        out[j], dim = dim - meet.dim, meet.dim
+        j -= 1
+    out[j] = dim
     return out
 
 
@@ -336,7 +344,5 @@ def induced_type(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
 
 def induced_degree(flag: FilteredSpace, u: SubspaceGF):
     """Degree of the induced type, computed without building the multiset."""
-    return sum(
-        (value * mult for value, mult in zip(flag.slope.values, _graded_dims(flag, u))),
-        Fraction(0),
-    )
+    den, values = flag.slope.scaled_values
+    return Fraction(sum(v * m for v, m in zip(values, _graded_dims(flag, u))), den)

@@ -256,6 +256,7 @@ def test_bad_n_ranges_exit_two(capsys):
         ("dims", "--d", "-2", "--q", "2", "--oracle"),
         ("dims", "--d", "3", "--q", "1", "--oracle"),
         ("kcomplex", "--d", "3", "--q", "1"),
+        ("kcomplex", "--d", "1", "--q", "2"),
     ],
     ids=[
         "missing-config",
@@ -268,6 +269,7 @@ def test_bad_n_ranges_exit_two(capsys):
         "dims-oracle-d-negative",
         "dims-oracle-q-one",
         "kcomplex-q-one",
+        "kcomplex-d-one",
     ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path, capsys):
@@ -353,3 +355,5 @@ def test_cli_imports_only_the_standard_library():
     loaded = set(proc.stdout.split()) - {"__mp_main__"}
     assert "perdom" in loaded
     assert loaded - sys.stdlib_module_names == {"perdom"}
+    # the worker pool is imported only when a command runs on several workers
+    assert not loaded & {"concurrent", "multiprocessing"}

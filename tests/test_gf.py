@@ -79,3 +79,31 @@ def test_large_field_without_tables():
         for x in random.Random(f.order).sample(range(f.order), 50):
             assert f.add(x, f.neg(x)) == 0
             assert f.neg(f.neg(x)) == x
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (2, 4), (2, 9)])
+def test_row_operations_match_per_entry_route_exhaustively(p, n):
+    # GF(2^9) has order 512, the largest field with tables
+    f = make_field(p, n)
+    els = list(range(f.order))
+    shifted = els[1:] + els[:1]
+    for a in els:
+        assert f.scale(a, els) == [f.mul(a, y) for y in els]
+        assert f.axpy(shifted, a, els) == [f.add(x, f.mul(a, y)) for x, y in zip(shifted, els)]
+        if a:
+            assert f.inv(a) == f.pow(a, f.order - 2)
+
+
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 7)])
+def test_row_operations_without_tables(p, n):
+    f = make_field(p, n)
+    rng = random.Random(f.order)
+    for _ in range(50):
+        a = rng.randrange(f.order)
+        xs = [rng.randrange(f.order) for _ in range(8)]
+        ys = [rng.randrange(f.order) for _ in range(8)]
+        assert f.scale(a, ys) == [f.mul(a, y) for y in ys]
+        assert f.axpy(xs, a, ys) == [f.add(x, f.mul(a, y)) for x, y in zip(xs, ys)]
+        if a:
+            assert f.inv(a) == f.pow(a, f.order - 2)
+            assert f.mul(a, f.inv(a)) == 1

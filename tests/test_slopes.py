@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import from_cycle
+from oracles import from_cycle, kernel_intersection
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
-from perdom.exactalg.subspaces import SubspaceGF
+from perdom.exactalg.subspaces import SubspaceGF, rref
 from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
     ClosedFamily,
@@ -54,6 +56,29 @@ def is_semistable(flag: FilteredSpace, rational_subspaces) -> bool:
 def in_open_stratum(flag: FilteredSpace, family: ClosedFamily, rational_subspaces) -> bool:
     """True iff no rational subspace has induced type inside the family."""
     return not any(family.contains(induced_type(flag, u)) for u in rational_subspaces)
+
+
+def induced_type_per_member(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
+    """The induced type from dim(U (x) k meet F_j), one kernel-route
+    intersection per proper flag member, independent of the chained route."""
+    uk = u.extend_scalars(flag.field)
+    dims = [kernel_intersection(uk, member).dim for member in flag.members[:-1]] + [uk.dim]
+    values, prev = [], 0
+    for value, cur in zip(flag.slope.values, dims):
+        values.extend([value] * (cur - prev))
+        prev = cur
+    return subfunction(values)
+
+
+def random_flag(rng, g: SlopeFunction, field) -> FilteredSpace:
+    """Spans of the first c_j rows of a random invertible matrix."""
+    d = g.d
+    while True:
+        rows = tuple(tuple(rng.randrange(field.order) for _ in range(d)) for _ in range(d))
+        if len(rref(field, rows)[0]) == d:
+            break
+    members = tuple(SubspaceGF.from_rows(field, d, rows[:c]) for c in g.cumulative_dims())
+    return FilteredSpace(field, g, members)
 
 
 def I_w_oracle(w, mu, family: ClosedFamily) -> tuple[int, ...]:
@@ -292,6 +317,26 @@ def test_degree_submodularity(values, n):
                 deg_s = induced_degree(flag, s) if s.dim else F(0)
                 deg_i = induced_degree(flag, i) if i.dim else F(0)
                 assert deg_s >= induced_degree(flag, u1) + induced_degree(flag, u2) - deg_i
+
+
+@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 2), ([1, 1, -2], 3, 1), ([3, 1, -1, -3], 2, 1)])
+def test_induced_type_matches_per_member_intersections(values, p, n):
+    g = from_values(values)
+    subs = rational_subspaces(p, g.d)
+    for flag in enumerate_flags(g, p, n):
+        for u in subs:
+            assert induced_type(flag, u) == induced_type_per_member(flag, u)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+def test_induced_degree_is_the_degree_of_the_induced_type(seed, d):
+    # random_slope_function shifts integers by their mean: fractional values
+    rng = random.Random(seed)
+    g = random_slope_function(rng, d)
+    flag = random_flag(rng, g, make_field(2, 2))
+    for u in rational_subspaces(2, d):
+        assert induced_degree(flag, u) == induced_type(flag, u).degree
 
 
 def test_random_slope_functions_are_admissible():

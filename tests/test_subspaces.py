@@ -141,6 +141,20 @@ def test_intersect_matches_kernel_oracle_all_pairs(p, n, d):
             assert meet == span(f, d, meet.basis)
 
 
+def test_intersect_matches_kernel_oracle_without_tables():
+    # GF(2^10) is above the table limit, so every row operation runs per entry
+    f, d = make_field(2, 10), 4
+    rng = random.Random(10)
+
+    def random_subspace():
+        rows = [[rng.randrange(f.order) for _ in range(d)] for _ in range(rng.randint(0, d))]
+        return span(f, d, rows)
+
+    for _ in range(200):
+        a, b = random_subspace(), random_subspace()
+        assert a.intersect(b) == kernel_intersection(a, b)
+
+
 @pytest.mark.parametrize(
     "q,dims,parts",
     [(2, (1, 2), (1, 1, 1)), (4, (1,), (1, 1)), (2, (2,), (2, 2)), (3, (1, 3), (1, 2, 1))],

@@ -305,11 +305,7 @@ def quillen_witness(sp: StalkPoset, flag: FilteredSpace, family: ClosedFamily) -
         raise ConfigError("no witness for an empty poset")
     verts = sp.vertices
     vert_set = set(verts)
-    u0 = next(
-        v
-        for v in verts
-        if not any(u != v and u.is_subspace_of(v) for u in verts)
-    )
+    u0 = verts[0]  # sorted by (dim, basis): no other vertex lies inside it
     pairs = []
     for u in verts:
         image = u.sum_with(u0)

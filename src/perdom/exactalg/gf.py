@@ -117,18 +117,33 @@ class FieldSpec:
         return hash((self.p, self.n, self.modulus))
 
     def _build_tables(self):
-        q = self.order
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                s = self._add_raw(a, b)
-                add[a][b] = add[b][a] = s
-                m = self._mul_raw(a, b)
-                mul[a][b] = mul[b][a] = m
+        # mul from exp/log tables of a primitive element (q raw products),
+        # add one base-p digit at a time
+        p, q = self.p, self.order
+        for gen in range(1, q):
+            exp = [1]
+            while (x := self._mul_raw(exp[-1], gen)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        mul = [(0,) * q]
+        for a in range(1, q):
+            rot = exp[log[a]:] + exp[: log[a]]  # rot[j] = a * gen^j
+            mul.append((0, *(rot[log[b]] for b in range(1, q))))
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for k in range(1, self.n):
+            size = p**k  # element a = top * size + rest, top the k-th digit
+            add = [
+                [(top + t) % p * size + x for t in range(p) for x in add[rest]]
+                for top in range(p)
+                for rest in range(size)
+            ]
         self._add_table = tuple(tuple(r) for r in add)
-        self._mul_table = tuple(tuple(r) for r in mul)
-        self._inv_table = (0,) + tuple(row.index(1) for row in self._mul_table[1:])
+        self._mul_table = tuple(mul)
+        self._inv_table = (0, *(exp[-log[a]] for a in range(1, q)))
 
     def _add_raw(self, a, b):
         if self.n == 1:

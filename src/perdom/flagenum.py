@@ -53,12 +53,17 @@ def classification_tests(g: SlopeFunction, p: int, n: int) -> int:
 
 
 def enumerate_flags(g: SlopeFunction, p: int, n: int):
-    """Yield every flag of type g over GF(p^n) exactly once."""
+    """Yield every flag of type g over GF(p^n) exactly once.
+
+    A proper member recurs across flags only when the type has two or more
+    proper members; then all flags share one table of meet dims, otherwise
+    each flag gets its own."""
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
+    shared = {} if len(proper_dims) >= 2 else None
     for chain in enumerate_chains(field, g.d, proper_dims):
-        yield FilteredSpace(field, g, chain + (full,))
+        yield FilteredSpace(field, g, chain + (full,), {} if shared is None else shared)
 
 
 def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> CountReport:

@@ -13,7 +13,7 @@ they are stored as a threshold plus a strictness flag.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -38,6 +38,7 @@ class SlopeFunction:
     """Pairs (value, multiplicity), values strictly decreasing."""
 
     pairs: tuple[tuple[Fraction, int], ...]
+    _types: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -59,11 +60,16 @@ class SlopeFunction:
             out.extend([x] * m)
         return tuple(out)
 
-    @cached_property
-    def scaled_values(self) -> tuple[int, tuple[int, ...]]:
-        """(D, the values times D) for the least common denominator D."""
-        den = math.lcm(*(x.denominator for x in self.values))
-        return den, tuple(int(x * den) for x in self.values)
+    def type_of(self, graded: tuple[int, ...]) -> "Subfunction":
+        """The subfunction with graded[j] copies of the j-th value, built once
+        per graded-dims tuple."""
+        h = self._types.get(graded)
+        if h is None:
+            values = []
+            for (value, _), mult in zip(self.pairs, graded):
+                values.extend([value] * mult)
+            h = self._types[graded] = subfunction(values)
+        return h
 
     def cumulative_dims(self) -> tuple[int, ...]:
         out = []
@@ -151,7 +157,7 @@ class Subfunction:
     def length(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def degree(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
@@ -310,39 +316,45 @@ class FilteredSpace:
 
     members[j] realizes the filtration step at the j-th largest slope value;
     dims grow by the multiplicities, and the last member is the full space.
+    meets maps a member's basis to {rational basis: dim(U (x) k meet member)};
+    flags from one enumeration may share it, since the dim depends only on
+    the pair.
     """
 
     field: FieldSpec
     slope: SlopeFunction
     members: tuple[SubspaceGF, ...]
+    meets: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
-def _graded_dims(flag: FilteredSpace, u: SubspaceGF):
+def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
-    Intersects from the top down, U meet F_j = (U meet F_{j+1}) meet F_j, and
-    stops at the first zero meet; the last member is the full space."""
+    Walks from the top down, reading each dim(U meet F_j) from flag.meets or
+    computing it by one intersection, and stops at the first zero meet; the
+    last member is the full space."""
+    if not (flag.field.is_extension_of(u.field) or flag.field == u.field):
+        u.extend_scalars(flag.field)  # raises ConfigError before a table hit can skip it
     out = [0] * len(flag.members)
-    meet = u.extend_scalars(flag.field)
-    dim, j = meet.dim, len(out) - 1
+    dim, j = u.dim, len(out) - 1
     while j and dim:
-        meet = meet.intersect(flag.members[j - 1])
-        out[j], dim = dim - meet.dim, meet.dim
+        member = flag.members[j - 1]
+        table = flag.meets.setdefault(member.basis, {})
+        meet = table.get(u.basis)
+        if meet is None:
+            meet = table[u.basis] = u.extend_scalars(flag.field).intersect(member).dim
+        out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim
-    return out
+    return tuple(out)
 
 
 def induced_type(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
     """Jump multiset a prime-field subspace inherits from the flag."""
     if u.dim < 1:
         raise ConfigError("induced type needs a nonzero subspace")
-    values = []
-    for value, mult in zip(flag.slope.values, _graded_dims(flag, u)):
-        values.extend([value] * mult)
-    return subfunction(values)
+    return flag.slope.type_of(_graded_dims(flag, u))
 
 
-def induced_degree(flag: FilteredSpace, u: SubspaceGF):
-    """Degree of the induced type, computed without building the multiset."""
-    den, values = flag.slope.scaled_values
-    return Fraction(sum(v * m for v, m in zip(values, _graded_dims(flag, u))), den)
+def induced_degree(flag: FilteredSpace, u: SubspaceGF) -> Fraction:
+    """Degree of the induced type."""
+    return flag.slope.type_of(_graded_dims(flag, u)).degree

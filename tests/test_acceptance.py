@@ -88,6 +88,8 @@ TRACE_GRID = [
     ([2, 1, -3], 2, (1, 2, 3)),
     ([1, 1, -2], 2, (1, 2)),
     ([1, 1, -1, -1], 2, (1, 2)),
+    ([3, 1, -1, -3], 2, (1, 2)),
+    ([1, 1, -2], 3, (1, 2, 3)),
 ]
 
 EXPECTED_OPEN = {

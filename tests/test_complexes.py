@@ -151,6 +151,23 @@ def test_chain_poset_images_take_the_larger_summand():
     assert found == 21
 
 
+def first_minimal_vertex(verts):
+    """The minimal vertex found by scanning for one containing no other."""
+    return next(v for v in verts if not any(u != v and u.is_subspace_of(v) for u in verts))
+
+
+def test_witness_base_is_the_first_minimal_vertex():
+    g = from_values([3, 1, -1, -3])
+    stalks = 0
+    for flag in enumerate_flags(g, 2, 1):
+        sp = cx.build_stalk(flag, SS)
+        if sp.is_empty:
+            continue
+        stalks += 1
+        assert cx.quillen_witness(sp, flag, SS).u0 == first_minimal_vertex(sp.vertices)
+    assert stalks == 315
+
+
 # -- closed-stratum counting -------------------------------------------------------
 
 

@@ -116,3 +116,23 @@ def test_budget_guard(monkeypatch):
     # computed from q-binomials, without listing the subspaces of GF(2)^12
     monkeypatch.setattr(flagenum, "rational_subspaces", None)
     assert classification_tests(drinfeld(12), 2, 1) == (2**12 - 1) * subspace_count(2, 12)
+
+
+def test_shared_meet_table_stays_within_its_bound(monkeypatch):
+    # one table per enumeration, one entry per (proper member, rational subspace)
+    g, p, n = from_values([2, 1, -3]), 2, 4
+    flags = []
+
+    def recording(*args):
+        for flag in enumerate_flags(*args):
+            flags.append(flag)
+            yield flag
+
+    monkeypatch.setattr(flagenum, "enumerate_flags", recording)
+    report = count_points(g, SS, p, n)
+    assert len(flags) == report.total == flag_count(g, p, n)
+    meets = flags[0].meets
+    assert all(flag.meets is meets for flag in flags)
+    size = sum(len(table) for table in meets.values())
+    bound = sum(q_binomial(g.d, c, p**n) for c in g.cumulative_dims()[:-1]) * subspace_count(p, g.d)
+    assert 0 < size <= bound

@@ -94,6 +94,28 @@ def test_row_operations_match_per_entry_route_exhaustively(p, n):
             assert f.inv(a) == f.pow(a, f.order - 2)
 
 
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (3, 4), (5, 3)])
+def test_tables_match_raw_arithmetic_exhaustively(p, n):
+    f = make_field(p, n)
+    for a in range(f.order):
+        for b in range(f.order):
+            assert f.mul(a, b) == f._mul_raw(a, b)
+            assert f.add(a, b) == f._add_raw(a, b)
+        if a:
+            assert f._mul_raw(a, f.inv(a)) == 1
+
+
+def test_largest_tables_match_raw_arithmetic_on_samples():
+    f = make_field(2, 9)
+    rng = random.Random(2009)
+    for _ in range(2000):
+        a, b = rng.randrange(f.order), rng.randrange(f.order)
+        assert f.mul(a, b) == f._mul_raw(a, b)
+        assert f.add(a, b) == f._add_raw(a, b)
+        if a:
+            assert f._mul_raw(a, f.inv(a)) == 1
+
+
 @pytest.mark.parametrize("p,n", [(2, 10), (3, 7)])
 def test_row_operations_without_tables(p, n):
     f = make_field(p, n)

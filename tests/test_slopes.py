@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -319,13 +320,47 @@ def test_degree_submodularity(values, n):
                 assert deg_s >= induced_degree(flag, u1) + induced_degree(flag, u2) - deg_i
 
 
-@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 2), ([1, 1, -2], 3, 1), ([3, 1, -1, -3], 2, 1)])
+@pytest.mark.parametrize(
+    "values,p,n",
+    [
+        ([2, 1, -3], 2, 2),
+        ([1, 1, -2], 3, 1),
+        ([3, 1, -1, -3], 2, 1),
+        ([2, 1, -3], 2, 3),
+        ([1, 1, -2], 3, 2),
+    ],
+)
 def test_induced_type_matches_per_member_intersections(values, p, n):
     g = from_values(values)
     subs = rational_subspaces(p, g.d)
     for flag in enumerate_flags(g, p, n):
         for u in subs:
             assert induced_type(flag, u) == induced_type_per_member(flag, u)
+
+
+@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 2), ([3, 1, -1, -3], 2, 1)])
+def test_shared_meet_table_does_not_depend_on_visiting_order(values, p, n):
+    # flags of one enumeration share their meet table; visiting them in reverse
+    # fills it in another order, and a flag with a fresh table must agree
+    g = from_values(values)
+    flags = list(enumerate_flags(g, p, n))
+    assert flags[0].meets is flags[-1].meets
+    for flag in reversed(flags):
+        fresh = dataclasses.replace(flag, meets={})
+        for u in rational_subspaces(p, g.d):
+            assert induced_type(flag, u) == induced_type(fresh, u)
+
+
+def test_foreign_field_subspace_is_rejected_after_a_table_hit():
+    flag = next(iter(enumerate_flags(from_values([2, 1, -3]), 2, 2)))
+    u2 = frame(make_field(2, 1), 3, (1, 0, 0), (0, 1, 1))
+    induced_type(flag, u2)
+    assert flag.meets  # the GF(2) subspace filled the table
+    u3 = SubspaceGF(make_field(3, 1), 3, u2.basis)
+    with pytest.raises(ConfigError):
+        induced_type(flag, u3)
+    with pytest.raises(ConfigError):
+        induced_degree(flag, u3)
 
 
 @settings(max_examples=50, deadline=None)

@@ -26,7 +26,7 @@ from .errors import (
     TheoremCheckError,
 )
 from .exactalg.gf import is_prime
-from .exactalg.qcount import all_flag_points
+from .exactalg.qcount import all_flag_points, capped, q_multinomial
 from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
@@ -90,14 +90,15 @@ def _budget(args) -> int:
     return DEFAULT_BUDGET
 
 
-def _require_budget(args, required: int, what: str):
+def _require_budget(args, price, what: str):
     """The one budget gate: every enumerating command calls it once, in the
-    parent process, and exits 4 before enumerating more than the budget."""
+    parent process, and exits 4 before enumerating more than the budget.
+    price(cap) is the work, or math.inf once its running value passes cap."""
     budget = _budget(args)
-    if required > budget:
+    if price(budget) > budget:
         raise_with = f"--budget or {ENV_BUDGET}" if hasattr(args, "budget") else ENV_BUDGET
         raise BudgetExceededError(
-            f"enumeration needs {required} {what}, budget is {budget} (raise with {raise_with})"
+            f"enumeration needs more {what} than the budget of {budget} (raise with {raise_with})"
         )
 
 
@@ -128,9 +129,12 @@ def _emit_text(text: str, path: str | None):
         return
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _resolve_dq(args) -> tuple[int, int]:
@@ -160,9 +164,13 @@ def cmd_table(args) -> int:
     family = slopes.parse_family(args.family)
     ns = _parse_n_range(args.n)
     # d^2 units per representative: its length counts inversions over
-    # d(d-1)/2 pairs, and I_w reads d partial sums
-    reps = math.factorial(g.d) // math.prod(math.factorial(m) for m in g.mults)
-    _require_budget(args, reps * g.d**2, "work units (d^2 per Kostant representative)")
+    # d(d-1)/2 pairs, and I_w reads d partial sums; there are d!/prod m_i!
+    # representatives, the q-multinomial at q = 1
+    _require_budget(
+        args,
+        lambda cap: capped(q_multinomial(g.mults, 1, cap) * g.d**2, cap),
+        "work units (d^2 per Kostant representative)",
+    )
     open_table = coh.table_open(g, family)
     closed_table = coh.table_closed(g, family)
     md = (
@@ -208,7 +216,9 @@ def cmd_zeta(args) -> int:
     ns = _parse_n_range(args.n) or (1,)
     # every flag is classified against every rational subspace; the price
     # grows with n, so the largest n decides
-    _require_budget(args, flagenum.classification_tests(g, args.q, max(ns)), "flag/subspace tests")
+    _require_budget(
+        args, lambda cap: flagenum.classification_tests(g, args.q, max(ns), cap), "flag/subspace tests"
+    )
     rows = _map_jobs(_zeta_one, [(g, family, args.q, n) for n in ns], args.jobs)
     ok = True
     for row in rows:
@@ -233,11 +243,16 @@ def cmd_zeta(args) -> int:
 
 def cmd_dims(args) -> int:
     d, q = _resolve_dq(args)
-    work, what = 3 ** (d - 1), "Moebius terms"
-    if args.oracle:  # the rank route also builds every coset space
-        work += d**2 * all_flag_points(d, q)
-        what = "work units (Moebius terms, d^2 per coset-space point)"
-    _require_budget(args, work, what)
+
+    def price(cap):
+        # 3^(d-1) >= 2^(d-1) > cap once d - 1 reaches the bit length of cap
+        work = capped(3 ** (d - 1), cap) if d <= cap.bit_length() else math.inf
+        if args.oracle:  # the rank route also builds every coset space
+            work = capped(work + d**2 * all_flag_points(d, q, cap=cap), cap)
+        return work
+
+    what = "work units (Moebius terms, d^2 per coset-space point)" if args.oracle else "Moebius terms"
+    _require_budget(args, price, what)
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, q)
@@ -262,16 +277,23 @@ def cmd_kcomplex(args) -> int:
     d, q = _resolve_dq(args)
     if d < 2:
         raise ConfigError("kcomplex needs --d >= 2: at d = 1 there is no proper reflection subset")
-    i0 = cuts = None
+    i0 = None
     if args.i0:
         try:
             gens = [int(x) for x in args.i0.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
         i0 = ParabolicType.from_gens(d, gens)
-        cuts = i0.complement()  # K(I0) builds the coset space of every J containing I0
-    # d^2 units per coset-space point, as for dims --oracle
-    _require_budget(args, d**2 * all_flag_points(d, q, cuts), "work units (d^2 per coset-space point)")
+
+    def price(cap):
+        # d^2 units per point of the coset space of every J containing I0, as
+        # for dims --oracle; d^2 first, since listing the cuts takes time O(d)
+        if d**2 > cap:
+            return math.inf
+        cuts = None if i0 is None else i0.complement()
+        return capped(d**2 * all_flag_points(d, q, cuts, cap), cap)
+
+    _require_budget(args, price, "work units (d^2 per coset-space point)")
     subsets = [i0] if i0 is not None else [p for p in weyl.parabolic_types(d) if not p.is_full]
     signs = "index" if args.corrupt_signs else "position"
     if args.corrupt_signs:
@@ -298,7 +320,9 @@ def cmd_stalk(args) -> int:
     family = _parse_family(args)
     ns = _parse_n_range(args.n) or (1,)
     # every flag is classified against every rational subspace
-    _require_budget(args, flagenum.classification_tests(g, args.q, max(ns)), "flag/subspace tests")
+    _require_budget(
+        args, lambda cap: flagenum.classification_tests(g, args.q, max(ns), cap), "flag/subspace tests"
+    )
     all_ok = True
     rows = []
     for n in ns:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import ConfigError
 from .exactalg.gf import make_field
@@ -30,31 +30,19 @@ from .weyl import ParabolicType
 PartialFlag = tuple[SubspaceGF, ...]
 
 
-class CosetSpace:
-    """The finite set (G/P_I)(k) as canonical partial flags over GF(q)."""
-
-    def __init__(self, ptype: ParabolicType, q: int, points: tuple[PartialFlag, ...]):
-        self.ptype = ptype
-        self.q = q
-        self.points = points
-        self.index = {pt: i for i, pt in enumerate(points)}
-
-    def __len__(self):
-        return len(self.points)
-
-
 @lru_cache(maxsize=None)
-def coset_space(ptype: ParabolicType, q: int) -> CosetSpace:
+def coset_space(ptype: ParabolicType, q: int) -> tuple[PartialFlag, ...]:
+    """The finite set (G/P_I)(k) as canonical partial flags over GF(q), sorted;
+    the full type gives the one point ()."""
     field = make_field(q, 1)
-    dims = ptype.complement()
     points = tuple(
         sorted(
-            enumerate_chains(field, ptype.d, dims),
+            enumerate_chains(field, ptype.d, ptype.complement()),
             key=lambda chain: tuple(m.sort_key() for m in chain),
         )
     )
     assert len(points) == q_multinomial(ptype.composition(), q)
-    return CosetSpace(ptype, q, points)
+    return points
 
 
 def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tuple[int, ...]:
@@ -62,22 +50,13 @@ def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tu
     flag members whose dimension J does not cut."""
     if not fine.issubset(coarse):
         raise ConfigError("projection needs nested reflection subsets")
-    fine_space = coset_space(fine, q)
-    coarse_space = coset_space(coarse, q)
+    index = {pt: i for i, pt in enumerate(coset_space(coarse, q))}
     keep = set(coarse.complement())
     fine_dims = fine.complement()
-    out = []
-    for pt in fine_space.points:
-        coarse_pt = tuple(m for m, dim in zip(pt, fine_dims) if dim in keep)
-        out.append(coarse_space.index[coarse_pt])
-    return tuple(out)
-
-
-def pullback_matrix(fine: ParabolicType, coarse: ParabolicType, q: int) -> MatrixQ:
-    """Matrix of (functions on G/P_coarse) -> (functions on G/P_fine)."""
-    proj = projection_indices(fine, coarse, q)
-    rows = tuple({y: 1} for y in proj)
-    return MatrixQ(len(rows), len(coset_space(coarse, q)), rows)
+    return tuple(
+        index[tuple(m for m, dim in zip(pt, fine_dims) if dim in keep)]
+        for pt in coset_space(fine, q)
+    )
 
 
 def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
@@ -100,76 +79,50 @@ def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
 # -- the induction complex ----------------------------------------------------
 
 
-def _term_subsets(i0: ParabolicType, p: int) -> tuple[tuple[int, ...], ...]:
-    """Missing-reflection subsets of size p+1 indexing the degree-p term."""
-    pool = i0.complement()
-    return tuple(sorted(combinations(pool, p + 1)))
-
-
 def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ:
     """The induction complex for i0, in degrees -1 .. #missing - 1.
 
-    signs="position" assigns a differential block the parity of the added
-    reflection's position among the target's missing reflections (the
-    convention under which the squares anticommute).  signs="index" uses
-    the parity of the reflection's own index; that reading does not square
-    to zero and is kept as a deliberate corruption hook for negative tests.
+    The degree-p term is the functions on (G/P_J)(k) for each J containing
+    i0 with p + 1 missing reflections, in combinations order; degree -1 is
+    the one point of J = G.  The differential pulls back along each
+    projection to J + s_i, i missing from J.
+
+    signs="position" gives that block the parity of i's position among J's
+    missing reflections (the convention under which the squares
+    anticommute).  signs="index" uses the parity of i itself; that reading
+    does not square to zero and is kept as a deliberate corruption hook for
+    negative tests.
     """
     if signs not in ("position", "index"):
         raise ConfigError(f"unknown sign convention {signs!r}")
     if i0.is_full:
         raise ConfigError("the induction complex needs a proper reflection subset")
-    d = i0.d
-    top = len(i0.complement()) - 1
-    layers = [((),)] + [_term_subsets(i0, p) for p in range(top + 1)]
-    sizes = [
-        [len(coset_space(_parabolic_from_missing(d, t), q)) if t else 1 for t in layer]
-        for layer in layers
+    missing = i0.complement()
+    terms = [
+        [i0.union(set(missing) - set(t)) for t in combinations(missing, k)]
+        for k in range(len(missing) + 1)
     ]
-    dims = tuple(sum(s) for s in sizes)
+    starts, dims = [], []
+    for term in terms:
+        offsets = tuple(accumulate((len(coset_space(j, q)) for j in term), initial=0))
+        starts.append(dict(zip(term, offsets)))
+        dims.append(offsets[-1])
     maps = []
-    for p in range(len(layers) - 1):
-        src_layer, tgt_layer = layers[p], layers[p + 1]
-        src_sizes, tgt_sizes = sizes[p], sizes[p + 1]
-        src_off = _offsets(src_sizes)
-        tgt_off = _offsets(tgt_sizes)
-        mat = [{} for _ in range(dims[p + 1])]
-        tgt_index = {t: j for j, t in enumerate(tgt_layer)}
-        for si, t_src in enumerate(src_layer):
-            src_parabolic = _parabolic_from_missing(d, t_src)
-            for i in i0.complement():
-                if i in t_src:
-                    continue
-                t_tgt = tuple(sorted(t_src + (i,)))
-                ti = tgt_index[t_tgt]
-                if signs == "position":
-                    sign = -1 if t_tgt.index(i) % 2 else 1
-                else:
-                    sign = -1 if i % 2 else 1
-                tgt_parabolic = _parabolic_from_missing(d, t_tgt)
-                if t_src:
-                    block = pullback_matrix(tgt_parabolic, src_parabolic, q).entries
-                else:
-                    block = tuple({0: 1} for _ in range(len(coset_space(tgt_parabolic, q))))
-                r0, c0 = tgt_off[ti], src_off[si]
-                for r, row in enumerate(block):
-                    for c, val in row.items():
-                        mat[r0 + r][c0 + c] = sign * val
-        maps.append(MatrixQ(dims[p + 1], dims[p], tuple(mat)))
+    for k in range(1, len(terms)):
+        rows = []
+        for j in terms[k]:
+            blocks = [
+                (
+                    starts[k - 1][j.union((i,))],
+                    projection_indices(j, j.union((i,)), q),
+                    -1 if (pos if signs == "position" else i) % 2 else 1,
+                )
+                for pos, i in enumerate(j.complement())
+            ]
+            for x in range(len(coset_space(j, q))):
+                rows.append({start + proj[x]: sign for start, proj, sign in blocks})
+        maps.append(MatrixQ(dims[k], dims[k - 1], tuple(rows)))
     return chain_complex(-1, dims, maps)
-
-
-def _offsets(sizes) -> tuple[int, ...]:
-    out = []
-    acc = 0
-    for s in sizes:
-        out.append(acc)
-        acc += s
-    return tuple(out)
-
-
-def _parabolic_from_missing(d: int, missing: tuple[int, ...]) -> ParabolicType:
-    return ParabolicType.from_gens(d, set(range(1, d)) - set(missing))
 
 
 @dataclass(frozen=True)
@@ -222,10 +175,9 @@ class StalkPoset:
 def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> StalkPoset:
     p = flag.field.p
     d = flag.slope.d
-    verts = [
-        u for u in rational_subspaces(p, d) if family.contains(induced_type(flag, u))
-    ]
-    return StalkPoset(tuple(sorted(verts, key=SubspaceGF.sort_key)))
+    return StalkPoset(
+        tuple(u for u in rational_subspaces(p, d) if family.contains(induced_type(flag, u)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -356,17 +308,9 @@ def closed_stratum_count(
         raise ConfigError("parabolic type and slope function disagree on d")
     if ptype.is_full:
         raise ConfigError("the closed-stratum count needs a proper reflection subset")
-    field = make_field(p, 1)
-    standards = {
-        i: SubspaceGF.from_rows(
-            field, g.d, tuple(tuple(1 if c == r else 0 for c in range(g.d)) for r in range(i))
-        )
-        for i in ptype.complement()
-    }
-    count = 0
-    for flag in enumerate_flags(g, p, 1):
-        if all(
-            family.contains(induced_type(flag, std)) for std in standards.values()
-        ):
-            count += 1
-    return count
+    full = SubspaceGF.full(make_field(p, 1), g.d)
+    standards = tuple(SubspaceGF(full.field, g.d, full.basis[:i]) for i in ptype.complement())
+    return sum(
+        all(family.contains(induced_type(flag, std)) for std in standards)
+        for flag in enumerate_flags(g, p, 1)
+    )

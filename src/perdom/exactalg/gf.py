@@ -210,16 +210,19 @@ class FieldSpec:
         return other.p == self.p and other.n == 1
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, n: int) -> FieldSpec:
-    """Construct GF(p^n) with the canonical modulus.
-
-    Raises ConfigError for non-prime p, n < 1, or order above DEFAULT_ORDER_BOUND.
-    """
+def check_field(p: int, n: int):
+    """Raise ConfigError for non-prime p, n < 1, or order above DEFAULT_ORDER_BOUND;
+    a large n is refused without computing p^n."""
     if not is_prime(p):
         raise ConfigError(f"p = {p} is not prime")
     if n < 1:
         raise ConfigError(f"extension degree must be >= 1, got {n}")
-    if p**n > DEFAULT_ORDER_BOUND:
+    if n >= DEFAULT_ORDER_BOUND.bit_length() or p**n > DEFAULT_ORDER_BOUND:
         raise ConfigError(f"field order {p}^{n} exceeds the bound {DEFAULT_ORDER_BOUND}")
+
+
+@lru_cache(maxsize=None)
+def make_field(p: int, n: int) -> FieldSpec:
+    """Construct GF(p^n) with the canonical modulus, after check_field."""
+    check_field(p, n)
     return FieldSpec(p, n, _smallest_irreducible(p, n))

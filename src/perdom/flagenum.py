@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConfigError
-from .exactalg.gf import is_prime, make_field
-from .exactalg.qcount import q_binomial, q_multinomial
+from .exactalg.gf import check_field, make_field
+from .exactalg.qcount import capped, q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
 from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
 
@@ -38,18 +37,20 @@ def rational_subspaces(p: int, d: int) -> tuple[SubspaceGF, ...]:
     return tuple(out)
 
 
-def flag_count(g: SlopeFunction, p: int, n: int) -> int:
-    """Exact number of flags of type g over GF(p^n) (q-multinomial)."""
-    if not is_prime(p):
-        raise ConfigError(f"p = {p} is not prime")
-    return q_multinomial(g.mults, p**n)
+def flag_count(g: SlopeFunction, p: int, n: int, cap=None):
+    """Exact number of flags of type g over GF(p^n) (q-multinomial), or
+    math.inf once it passes cap; ConfigError if GF(p^n) cannot be built."""
+    check_field(p, n)
+    return q_multinomial(g.mults, p**n, cap)
 
 
-def classification_tests(g: SlopeFunction, p: int, n: int) -> int:
+def classification_tests(g: SlopeFunction, p: int, n: int, cap=None):
     """Flag/subspace tests needed to classify every flag of type g over
     GF(p^n) against every rational subspace, counted without enumerating:
-    flag_count times len(rational_subspaces(p, g.d))."""
-    return flag_count(g, p, n) * sum(q_binomial(g.d, k, p) for k in range(1, g.d))
+    flag_count times len(rational_subspaces(p, g.d)), or math.inf once it
+    passes cap."""
+    subspaces = sum(q_binomial(g.d, k, p, cap) for k in range(1, g.d))
+    return capped(flag_count(g, p, n, cap) * subspaces, cap)
 
 
 def enumerate_flags(g: SlopeFunction, p: int, n: int):

@@ -81,8 +81,34 @@ def test_zeta_budget_exit(capsys, monkeypatch):
     assert code == 2
 
 
-def _unguarded(*args, **kwargs):
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# main() with every enumeration entry point patched to raise
+GUARDED_MAIN = """
+import sys
+from perdom import cli
+
+def unguarded(*args, **kwargs):
     raise AssertionError("the enumeration ran before the budget check")
+
+cli.coh.table_open = cli.weyl.parabolic_types = unguarded
+cli.flagenum.enumerate_flags = cli.flagenum.count_points = unguarded
+cli.checks.induction_report = unguarded
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(main(sys.argv[1:]))"):
+    """Run the CLI in a subprocess that must exit within 20 s, so an input
+    that hangs fails the test instead of stalling the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -97,6 +123,14 @@ def _unguarded(*args, **kwargs):
         ("zeta", "--g", "3,1,-1,-3", "--q", "2", "--n", "1..3"),
         ("kcomplex", "--d", "6", "--q", "2"),
         ("kcomplex", "--d", "40", "--q", "2"),
+        ("kcomplex", "--d", "200", "--q", "2"),
+        ("kcomplex", "--d", "3000", "--q", "2"),
+        ("kcomplex", "--d", "1000000000", "--q", "2", "--i0", "1"),
+        ("dims", "--d", "200", "--q", "2", "--oracle"),
+        ("dims", "--d", "3000", "--q", "2", "--oracle"),
+        ("dims", "--d", "100000", "--q", "2"),
+        ("zeta", "--drinfeld", "1000", "--q", "2"),
+        ("table", "--drinfeld", "100000", "--q", "2"),
     ],
     ids=[
         "table-13-distinct-values",
@@ -108,15 +142,18 @@ def _unguarded(*args, **kwargs):
         "zeta-d4-n3",
         "kcomplex-d6",
         "kcomplex-d40",
+        "kcomplex-d200",
+        "kcomplex-d3000",
+        "kcomplex-d1e9-i0",
+        "dims-oracle-d200",
+        "dims-oracle-d3000",
+        "dims-d100000",
+        "zeta-drinfeld-1000",
+        "table-drinfeld-100000",
     ],
 )
-def test_table_and_dims_exit_four_before_enumerating(argv, capsys, monkeypatch):
-    monkeypatch.setattr(cli.coh, "table_open", _unguarded)
-    monkeypatch.setattr(cli.weyl, "parabolic_types", _unguarded)
-    monkeypatch.setattr(cli.flagenum, "enumerate_flags", _unguarded)
-    monkeypatch.setattr(cli.flagenum, "count_points", _unguarded)
-    monkeypatch.setattr(cli.checks, "induction_report", _unguarded)
-    code, out, err = run(capsys, *argv)
+def test_table_and_dims_exit_four_before_enumerating(argv):
+    code, out, err = run_bounded(argv, GUARDED_MAIN)
     assert code == 4 and out == ""
     assert err.startswith("error: enumeration needs") and "budget" in err
 
@@ -257,6 +294,12 @@ def test_bad_n_ranges_exit_two(capsys):
         ("dims", "--d", "3", "--q", "1", "--oracle"),
         ("kcomplex", "--d", "3", "--q", "1"),
         ("kcomplex", "--d", "1", "--q", "2"),
+        ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "100000000"),
+        ("zeta", "--g", "1,-1", "--q", "2", "--n", "20..21"),
+        ("zeta", "--g", "1,-1", "--q", "2", "--n", "30"),
+        ("stalk", "--g", "1,-1", "--q", "2", "--n", "21"),
+        ("kcomplex", "--d", "2", "--q", "2", "--json", "{tmp}/missing/x.json"),
+        ("table", "--drinfeld", "2", "--q", "2", "--md", "{tmp}/missing/x.md"),
     ],
     ids=[
         "missing-config",
@@ -270,11 +313,17 @@ def test_bad_n_ranges_exit_two(capsys):
         "dims-oracle-q-one",
         "kcomplex-q-one",
         "kcomplex-d-one",
+        "zeta-field-above-bound",
+        "zeta-n-range-above-field-bound",
+        "zeta-n30-above-field-bound",
+        "stalk-field-above-bound",
+        "unwritable-json",
+        "unwritable-md",
     ],
 )
-def test_bad_inputs_exit_two(argv, tmp_path, capsys):
+def test_bad_inputs_exit_two(argv, tmp_path):
     (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")
-    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    code, _, err = run_bounded([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -337,7 +386,6 @@ def test_module_entrypoint_subprocess():
 
 
 def test_cli_imports_only_the_standard_library():
-    src = Path(__file__).resolve().parent.parent / "src"
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -348,7 +396,7 @@ def test_cli_imports_only_the_standard_library():
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
     # multiprocessing registers the running script under the alias __mp_main__

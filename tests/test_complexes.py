@@ -32,6 +32,20 @@ def test_projection_extremes():
         cx.projection_indices(ParabolicType.from_gens(3, [1]), borel, 2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_full_type_coset_space_is_one_point(d):
+    assert cx.coset_space(ParabolicType.full(d), 2) == ((),)
+
+
+@pytest.mark.parametrize("d,q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_last_differential_spans_the_pullbacks(d, q):
+    # two independent constructions of the span of functions pulled back
+    # from the parabolic types one reflection above I0
+    for i0 in parabolic_types(d):
+        if not i0.is_full:
+            assert cx.build_K(i0, q).maps[-1].rank() == cx.pullback_span_rank(i0, q)
+
+
 def test_build_K_dims():
     assert cx.build_K(ParabolicType.empty(3), 2).dims == (1, 14, 21)
     assert cx.build_K(ParabolicType.empty(2), 2).dims == (1, 3)

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perdom import flagenum
-from perdom.exactalg.qcount import q_binomial
+from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
 from perdom.flagenum import (
     classification_tests,
     count_points,
@@ -116,6 +119,30 @@ def test_budget_guard(monkeypatch):
     # computed from q-binomials, without listing the subspaces of GF(2)^12
     monkeypatch.setattr(flagenum, "rational_subspaces", None)
     assert classification_tests(drinfeld(12), 2, 1) == (2**12 - 1) * subspace_count(2, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_prices_are_exact_up_to_the_cap(data):
+    d = data.draw(st.integers(1, 9), label="d")
+    q = data.draw(st.sampled_from((1, 2, 3, 5)), label="q")
+    cap = data.draw(st.integers(0, 10**7), label="cap")
+
+    def expect(x):
+        return x if x <= cap else math.inf
+
+    for k in range(-1, d + 2):
+        assert q_binomial(d, k, q, cap) == expect(q_binomial(d, k, q))
+        if q == 1 and 0 <= k <= d:
+            assert q_binomial(d, k, q) == math.comb(d, k)
+    parts = tuple(data.draw(st.lists(st.integers(0, 3), max_size=4), label="parts"))
+    assert q_multinomial(parts, q, cap) == expect(q_multinomial(parts, q))
+    if q > 1:
+        cuts = data.draw(st.sets(st.integers(1, d - 1)) if d > 1 else st.just(set()), label="cuts")
+        for c in (None, tuple(sorted(cuts))):
+            assert all_flag_points(d, q, c, cap) == expect(all_flag_points(d, q, c))
+        g = from_values([1] * (d - 1) + [-(d - 1)]) if d > 1 else from_values([1, -1])
+        assert classification_tests(g, q, 1, cap) == expect(classification_tests(g, q, 1))
 
 
 def test_shared_meet_table_stays_within_its_bound(monkeypatch):

@@ -25,7 +25,7 @@ from .errors import (
     PerdomError,
     TheoremCheckError,
 )
-from .exactalg.gf import is_prime
+from .exactalg.gf import require_prime
 from .exactalg.qcount import all_flag_points, capped, q_multinomial
 from .weyl import ParabolicType
 
@@ -142,8 +142,7 @@ def _resolve_dq(args) -> tuple[int, int]:
     d = _parse_g(args).d if args.d is None else args.d
     if d < 1:
         raise ConfigError(f"--d must be at least 1, got {d}")
-    if not is_prime(args.q):
-        raise ConfigError(f"base field size must be prime, got {args.q}")
+    require_prime(args.q)
     return d, args.q
 
 
@@ -210,15 +209,21 @@ def _zeta_one(g, family, q, n):
     }
 
 
-def cmd_zeta(args) -> int:
+def _flag_inputs(args):
+    """(g, family, ns) for the commands that enumerate flags, after the
+    budget gate: every flag is classified against every rational subspace,
+    and the price grows with n, so the largest n decides."""
     g = _parse_g(args)
     family = _parse_family(args)
     ns = _parse_n_range(args.n) or (1,)
-    # every flag is classified against every rational subspace; the price
-    # grows with n, so the largest n decides
     _require_budget(
         args, lambda cap: flagenum.classification_tests(g, args.q, max(ns), cap), "flag/subspace tests"
     )
+    return g, family, ns
+
+
+def cmd_zeta(args) -> int:
+    g, family, ns = _flag_inputs(args)
     rows = _map_jobs(_zeta_one, [(g, family, args.q, n) for n in ns], args.jobs)
     ok = True
     for row in rows:
@@ -256,7 +261,7 @@ def cmd_dims(args) -> int:
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, q)
-        dv = coh.check_dim_v(ptype, q) if args.oracle else coh.dim_v(ptype, q)
+        dv = cx.check_dim_v(ptype, q) if args.oracle else coh.dim_v(ptype, q)
         rows.append(
             {
                 "I": list(ptype.gens),
@@ -316,24 +321,11 @@ def cmd_kcomplex(args) -> int:
 
 
 def cmd_stalk(args) -> int:
-    g = _parse_g(args)
-    family = _parse_family(args)
-    ns = _parse_n_range(args.n) or (1,)
-    # every flag is classified against every rational subspace
-    _require_budget(
-        args, lambda cap: flagenum.classification_tests(g, args.q, max(ns), cap), "flag/subspace tests"
-    )
+    g, family, ns = _flag_inputs(args)
     all_ok = True
     rows = []
     for n in ns:
-        flags = in_y = failed = 0
-        for flag in flagenum.enumerate_flags(g, args.q, n):
-            flags += 1
-            rep = cx.stalk_report(flag, family)
-            if rep.in_y:
-                in_y += 1
-                if not rep.passed:
-                    failed += 1
+        flags, in_y, failed = cx.stalk_counts(g, family, args.q, n)
         all_ok = all_ok and failed == 0
         rows.append({"n": n, "flags": flags, "in_y": in_y, "failed": failed})
         sys.stdout.write(

@@ -6,7 +6,8 @@ sum over the minimal coset representatives w: the generalized Steinberg
 module of the parabolic attached to w, Tate-twisted by -length(w), placed
 in degree 2*length(w) + #(missing reflections).  The closed complement has
 a companion table with induced modules.  Both tables convert to exact
-point-count predictions by taking Frobenius traces.
+point-count predictions by taking Frobenius traces.  The dimensions are
+counts and their Moebius inversion; complexes checks them by exact rank.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConfigError, InternalCheckError
-from .exactalg.gf import is_prime
+from .exactalg.gf import require_prime
 from .exactalg.qcount import q_multinomial
 from .slopes import ClosedFamily, SlopeFunction, outside_family
 from .weyl import ParabolicType, Perm, act, kostant_reps, length
@@ -42,15 +43,10 @@ def rep_label(kind: str, parabolic: ParabolicType) -> RepLabel:
     return RepLabel(kind, parabolic)
 
 
-def _require_prime(q: int):
-    if not is_prime(q):
-        raise ConfigError(f"base field size must be prime, got {q}")
-
-
 @lru_cache(maxsize=None)
 def dim_induced(parabolic: ParabolicType, q: int) -> int:
     """Number of partial flags of the parabolic's block type over GF(q)."""
-    _require_prime(q)
+    require_prime(q)
     return q_multinomial(parabolic.composition(), q)
 
 
@@ -73,25 +69,6 @@ def dim_v(parabolic: ParabolicType, q: int) -> int:
     if total <= 0:
         raise InternalCheckError(f"nonpositive Steinberg dimension for {parabolic}")
     return total
-
-
-def dim_v_span_rank(parabolic: ParabolicType, q: int) -> int:
-    """Independent route: the induced dimension minus the exact rank of the
-    span of all functions pulled back from proper overgroup quotients."""
-    from .complexes import pullback_span_rank
-
-    return dim_induced(parabolic, q) - pullback_span_rank(parabolic, q)
-
-
-def check_dim_v(parabolic: ParabolicType, q: int) -> int:
-    """Run both routes for dim v and insist they agree."""
-    moebius = dim_v(parabolic, q)
-    oracle = dim_v_span_rank(parabolic, q)
-    if moebius != oracle:
-        raise InternalCheckError(
-            f"dim v mismatch for {parabolic}, q={q}: moebius {moebius} vs rank {oracle}"
-        )
-    return moebius
 
 
 def rep_dim(rep: RepLabel, q: int) -> int:
@@ -183,7 +160,7 @@ def table_closed(g: SlopeFunction, family: ClosedFamily) -> CohTable:
 def trace_prediction(table: CohTable, q: int, n: int) -> int:
     """Lefschetz evaluation over GF(q^n): a summand in degree D with twist m
     contributes (-1)^D * dim * q^(-m*n)."""
-    _require_prime(q)
+    require_prime(q)
     total = 0
     for e in table.entries:
         sign = -1 if e.degree % 2 else 1

@@ -1,5 +1,7 @@
 """Explicit complexes: parabolic induction complexes and stalk subcomplexes.
 
+check_dim_v compares cohomology's Moebius route for the Steinberg dimension
+with the induced dimension minus the rank of the pulled-back functions.
 The induction complex for a proper reflection subset I0 has the functions
 on (G/P_I)(k) for I between I0 and the full set, graded by the number of
 missing reflections, with signed pullback differentials.  Its homology is
@@ -9,7 +11,7 @@ dimension; verify_K checks exactly that with exact rational ranks.
 The stalk machinery takes one flag, collects the rational subspaces whose
 induced type lies in the family, and checks that the order complex of that
 poset is acyclic, exhibiting the contraction U -> U + U0 predicted by the
-poset contraction criterion.
+poset contraction criterion; stalk_counts runs it over every flag of a type.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 
-from .errors import ConfigError
+from .cohomology import dim_induced, dim_v
+from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
@@ -74,6 +77,23 @@ def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
             block[y][x] = 1
         rows.extend(block)
     return rational_rank(rows)
+
+
+def dim_v_span_rank(parabolic: ParabolicType, q: int) -> int:
+    """Independent route: the induced dimension minus the exact rank of the
+    span of all functions pulled back from proper overgroup quotients."""
+    return dim_induced(parabolic, q) - pullback_span_rank(parabolic, q)
+
+
+def check_dim_v(parabolic: ParabolicType, q: int) -> int:
+    """Run both routes for dim v and insist they agree."""
+    moebius = dim_v(parabolic, q)
+    oracle = dim_v_span_rank(parabolic, q)
+    if moebius != oracle:
+        raise InternalCheckError(
+            f"dim v mismatch for {parabolic}, q={q}: moebius {moebius} vs rank {oracle}"
+        )
+    return moebius
 
 
 # -- the induction complex ----------------------------------------------------
@@ -148,8 +168,6 @@ class KComplexReport:
 def verify_K(i0: ParabolicType, q: int) -> KComplexReport:
     """Homology must vanish below the top degree, where it has the
     generalized Steinberg dimension of i0."""
-    from .cohomology import dim_v
-
     complex_ = build_K(i0, q)
     homology = complex_.homology_dims()
     expected_top = dim_v(i0, q)
@@ -160,24 +178,14 @@ def verify_K(i0: ParabolicType, q: int) -> KComplexReport:
 # -- stalk subcomplexes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StalkPoset:
-    """Rational subspaces whose induced type at one flag lies in the family,
-    ordered by inclusion."""
-
-    vertices: tuple[SubspaceGF, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
+Vertices = tuple[SubspaceGF, ...]
 
 
-def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> StalkPoset:
-    p = flag.field.p
-    d = flag.slope.d
-    return StalkPoset(
-        tuple(u for u in rational_subspaces(p, d) if family.contains(induced_type(flag, u)))
-    )
+def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> Vertices:
+    """Rational subspaces whose induced type at the flag lies in the family,
+    in `rational_subspaces` order (by dimension, then basis)."""
+    subs = rational_subspaces(flag.field.p, flag.slope.d)
+    return tuple(u for u in subs if family.contains(induced_type(flag, u)))
 
 
 @lru_cache(maxsize=None)
@@ -193,36 +201,28 @@ def _containment(p: int, d: int):
     return {u: i for i, u in enumerate(subs)}, above
 
 
-def _stalk_chains(sp: StalkPoset) -> list[list[tuple[int, ...]]]:
+def _stalk_chains(verts: Vertices) -> list[list[tuple[int, ...]]]:
     """Chains of the poset grouped by length (order-complex simplices)."""
-    verts = sp.vertices
-    n = len(verts)
     position, contained_in = _containment(verts[0].field.p, verts[0].ambient_dim)
     local = {position[v]: i for i, v in enumerate(verts)}
     above = [[local[j] for j in contained_in[position[v]] if j in local] for v in verts]
     levels: list[list[tuple[int, ...]]] = []
-    current = [(i,) for i in range(n)]
+    current = [(i,) for i in range(len(verts))]
     while current:
         levels.append(current)
-        nxt = []
-        for chain in current:
-            for j in above[chain[-1]]:
-                nxt.append(chain + (j,))
-        current = nxt
+        current = [chain + (j,) for chain in current for j in above[chain[-1]]]
     return levels
 
 
-def stalk_complex(sp: StalkPoset) -> ChainComplexQ | None:
-    """Reduced simplicial chain complex of the order complex, encoded as a
-    cochain complex of transposed boundary maps (ranks are unchanged)."""
-    if sp.is_empty:
-        return None
-    levels = _stalk_chains(sp)
+def stalk_homology(verts: Vertices) -> tuple[int, ...]:
+    """Reduced homology dimensions (degrees -1, 0, 1, ...) of the order
+    complex of a nonempty poset, from its reduced simplicial chain complex
+    encoded as transposed boundary maps (ranks are unchanged)."""
+    levels = _stalk_chains(verts)
     dims = (1,) + tuple(len(level) for level in levels)
     index = [{chain: i for i, chain in enumerate(level)} for level in levels]
-    maps = []
     # augmentation: every vertex hits the empty simplex with coefficient 1
-    maps.append(MatrixQ(len(levels[0]), 1, tuple({0: 1} for _ in levels[0])))
+    maps = [MatrixQ(len(levels[0]), 1, tuple({0: 1} for _ in levels[0]))]
     for p in range(1, len(levels)):
         faces = index[p - 1]
         rows = tuple(
@@ -230,32 +230,21 @@ def stalk_complex(sp: StalkPoset) -> ChainComplexQ | None:
             for chain in levels[p]
         )
         maps.append(MatrixQ(len(levels[p]), len(levels[p - 1]), rows))
-    return chain_complex(-1, dims, maps)
-
-
-def stalk_homology(sp: StalkPoset) -> tuple[int, ...]:
-    """Reduced homology dimensions (degrees -1, 0, 1, ...); empty tuple for
-    an empty poset."""
-    complex_ = stalk_complex(sp)
-    if complex_ is None:
-        return ()
-    return complex_.homology_dims()
+    return chain_complex(-1, dims, maps).homology_dims()
 
 
 @dataclass(frozen=True)
 class QuillenWitness:
     ok: bool
-    u0: SubspaceGF | None
-    failing: SubspaceGF | None
+    u0: SubspaceGF
     pairs: tuple[tuple[SubspaceGF, SubspaceGF], ...]
 
 
-def quillen_witness(sp: StalkPoset, flag: FilteredSpace, family: ClosedFamily) -> QuillenWitness:
+def quillen_witness(verts: Vertices, flag: FilteredSpace, family: ClosedFamily) -> QuillenWitness:
     """Pick a minimal vertex U0 and check U -> U + U0 maps the poset into
     itself, which by the contraction criterion collapses the order complex."""
-    if sp.is_empty:
+    if not verts:
         raise ConfigError("no witness for an empty poset")
-    verts = sp.vertices
     vert_set = set(verts)
     u0 = verts[0]  # sorted by (dim, basis): no other vertex lies inside it
     pairs = []
@@ -271,28 +260,38 @@ def quillen_witness(sp: StalkPoset, flag: FilteredSpace, family: ClosedFamily) -
             and u0.is_subspace_of(image)
         )
         if not ok:
-            return QuillenWitness(False, u0, u, tuple(pairs))
+            return QuillenWitness(False, u0, tuple(pairs))
         pairs.append((u, image))
-    return QuillenWitness(True, u0, None, tuple(pairs))
+    return QuillenWitness(True, u0, tuple(pairs))
 
 
 @dataclass(frozen=True)
 class StalkReport:
     in_y: bool
-    vertex_count: int
     homology: tuple[int, ...]
-    witness_ok: bool
     passed: bool
 
 
 def stalk_report(flag: FilteredSpace, family: ClosedFamily) -> StalkReport:
-    sp = build_stalk(flag, family)
-    if sp.is_empty:
-        return StalkReport(False, 0, (), True, True)
-    homology = stalk_homology(sp)
-    witness = quillen_witness(sp, flag, family)
-    acyclic = all(h == 0 for h in homology)
-    return StalkReport(True, len(sp.vertices), homology, witness.ok, acyclic and witness.ok)
+    """An empty poset (the flag is off the closed stratum) passes trivially."""
+    verts = build_stalk(flag, family)
+    if not verts:
+        return StalkReport(False, (), True)
+    homology = stalk_homology(verts)
+    witness = quillen_witness(verts, flag, family)
+    return StalkReport(True, homology, witness.ok and not any(homology))
+
+
+def stalk_counts(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> tuple[int, int, int]:
+    """(flags, flags on the closed stratum, failed stalks) over every flag
+    of type g over GF(p^n)."""
+    flags = in_y = failed = 0
+    for flag in enumerate_flags(g, p, n):
+        rep = stalk_report(flag, family)
+        flags += 1
+        in_y += rep.in_y
+        failed += not rep.passed
+    return flags, in_y, failed
 
 
 # -- closed-stratum point counts (base field) ----------------------------------

@@ -1,17 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Matrices are stored as sparse rows, one dict {column: nonzero entry} per row
-with int or Fraction entries; MatrixQ.from_rows is the dense input boundary.
-rational_rank clears each row of denominators and runs a fraction-free
-elimination on gcd-normalized Python-int rows, so every arithmetic step is
-exact; no floating point anywhere.
+with int or Fraction entries.  rational_rank clears each row of denominators
+and runs a fraction-free elimination on gcd-normalized Python-int rows, so
+every arithmetic step is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ..errors import InternalCheckError
 
@@ -73,23 +71,6 @@ class MatrixQ:
     rows: int
     cols: int
     entries: tuple[dict, ...]
-
-    @classmethod
-    def from_rows(cls, dense, cols: int | None = None) -> "MatrixQ":
-        """Build from dense rows of ints or Fractions."""
-        dense = [tuple(r) for r in dense]
-        if dense:
-            cols = len(dense[0])
-            if any(len(r) != cols for r in dense):
-                raise ValueError("ragged matrix")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        for r in dense:
-            for x in r:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"matrix entries must be int or Fraction, got {type(x)}")
-        entries = tuple({c: x for c, x in enumerate(r) if x} for r in dense)
-        return cls(len(entries), cols, entries)
 
     def rank(self) -> int:
         return rational_rank(self.entries)

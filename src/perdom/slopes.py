@@ -220,25 +220,15 @@ class ClosedFamily:
         }
 
 
-def parse_family(spec) -> ClosedFamily:
-    """Accepts "ss", "ge:NUM/DEN", or {"threshold": [num, den], "strict": b}."""
-    if isinstance(spec, ClosedFamily):
-        return spec
-    if isinstance(spec, str):
-        if spec == "ss":
-            return ClosedFamily.semistable()
-        if spec.startswith("ge:"):
-            try:
-                return ClosedFamily(Fraction(spec[3:]), strict=False)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"bad family threshold {spec!r}") from exc
-        raise ConfigError(f"unknown family spec {spec!r}")
-    if isinstance(spec, dict):
+def parse_family(spec: str) -> ClosedFamily:
+    """Accepts "ss" or "ge:NUM/DEN" (degree at least NUM/DEN)."""
+    if spec == "ss":
+        return ClosedFamily.semistable()
+    if isinstance(spec, str) and spec.startswith("ge:"):
         try:
-            num, den = spec["threshold"]
-            return ClosedFamily(Fraction(int(num), int(den)), bool(spec["strict"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad family config {spec!r}") from exc
+            return ClosedFamily(Fraction(spec[3:]), strict=False)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad family threshold {spec!r}") from exc
     raise ConfigError(f"unknown family spec {spec!r}")
 
 
@@ -261,8 +251,7 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
     failure raises InternalCheckError.
     """
     reps = double_coset_reps(i, mu)
-    g = from_mu(mu)
-    targets = set(enumerate_B(g, i))
+    targets = set(enumerate_B(from_values(mu), i))
     mapping = {w: h_w_i(mu, w, i) for w in reps}
     images = list(mapping.values())
     if len(set(images)) != len(images) or set(images) != targets:
@@ -276,11 +265,6 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
                     f"prefix map is not order-reversing at {u} <= {w}"
                 )
     return mapping
-
-
-def from_mu(mu) -> SlopeFunction:
-    """Slope function with the multiset of entries of mu (must sum to 0)."""
-    return from_values(mu)
 
 
 def I_w(w: Perm, mu, family: ClosedFamily) -> ParabolicType:

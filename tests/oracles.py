@@ -5,6 +5,7 @@ code with perdom's exact rational rank; the tests compare the two.  Over a
 large prime the ranks agree on the small integer matrices the tests build.
 kernel_intersection is the kernel route to a subspace intersection over
 GF(q), the one perdom used before its single-echelon (Zassenhaus) route.
+matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
 """
 
 import math
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from perdom.exactalg.rational import MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF, rref
 
 _NP_LIMIT = 2**31  # residues below this keep every int64 product exact
@@ -57,6 +59,17 @@ def rank_mod_prime(rows, p: int) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def matrix_from_rows(dense) -> MatrixQ:
+    """MatrixQ from nonempty dense rows of ints or Fractions, all one length."""
+    dense = [tuple(r) for r in dense]
+    if not dense or any(len(r) != len(dense[0]) for r in dense):
+        raise ValueError("need nonempty rows of one length")
+    if not all(isinstance(x, (int, Fraction)) for r in dense for x in r):
+        raise TypeError("matrix entries must be int or Fraction")
+    entries = tuple({c: x for c, x in enumerate(r) if x} for r in dense)
+    return MatrixQ(len(entries), len(dense[0]), entries)
 
 
 def from_cycle(d: int, cycle: tuple[int, ...]) -> tuple[int, ...]:

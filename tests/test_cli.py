@@ -300,6 +300,9 @@ def test_bad_n_ranges_exit_two(capsys):
         ("stalk", "--g", "1,-1", "--q", "2", "--n", "21"),
         ("kcomplex", "--d", "2", "--q", "2", "--json", "{tmp}/missing/x.json"),
         ("table", "--drinfeld", "2", "--q", "2", "--md", "{tmp}/missing/x.md"),
+        ("dims", "--d", "2", "--q", str(2**64 + 13)),
+        ("table", "--g", "1,-1", "--q", str(2**64 + 13)),
+        ("stalk", "--g", "1,-1", "--q", str(2**64 + 13)),
     ],
     ids=[
         "missing-config",
@@ -319,6 +322,9 @@ def test_bad_n_ranges_exit_two(capsys):
         "stalk-field-above-bound",
         "unwritable-json",
         "unwritable-md",
+        "dims-q-above-2^64",
+        "table-q-above-2^64",
+        "stalk-q-above-2^64",
     ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path):
@@ -346,11 +352,29 @@ def test_jobs_clamped_to_tasks_and_cpus(monkeypatch):
     assert cli._worker_count(64, 10) == 1
 
 
+def test_large_prime_q_is_decided_at_once():
+    # 10^18 + 3 is prime; trial division up to its square root took minutes
+    code, out, _ = run_bounded(["dims", "--d", "2", "--q", "1000000000000000003"])
+    assert code == 0
+    assert "dim_i=1000000000000000004 dim_v=1000000000000000003" in out
+
+
+def test_a_stalk_failure_reaches_both_drivers(capsys, monkeypatch):
+    monkeypatch.setattr(cli.cx, "stalk_homology", lambda verts: (1,))
+    code, out, _ = run(capsys, "stalk", "--g", "2,1,-3", "--q", "2", "--n", "1")
+    assert code == 3
+    assert "21 stalk failures" in out
+    code, out, _ = run(capsys, "verify-all", "--quick")
+    assert code == 3
+    assert "FAIL stalk complexes contract with a witness" in out
+    assert "PASS induction complex homology concentrated on top" in out
+
+
 def test_verify_all_reports_a_raising_group_and_continues(capsys, monkeypatch):
     def broken(ptype, q):
         raise InternalCheckError("planted mismatch")
 
-    monkeypatch.setattr(cli.coh, "check_dim_v", broken)
+    monkeypatch.setattr(cli.cx, "check_dim_v", broken)
     code, out, err = run(capsys, "verify-all", "--quick")
     assert code == 3
     assert "FAIL Steinberg dimensions agree across both routes" in out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perdom import cohomology as coh
+from perdom import complexes as cx
 from perdom.errors import ConfigError
 from perdom.exactalg.qcount import all_flag_points
 from perdom.slopes import (
@@ -76,7 +77,7 @@ def test_dim_v_two_routes_small_grid():
     for d in (2, 3):
         for q in (2, 3):
             for ptype in parabolic_types(d):
-                coh.check_dim_v(ptype, q)
+                cx.check_dim_v(ptype, q)
 
 
 def test_dims_require_prime_base():

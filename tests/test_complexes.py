@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from oracles import rank_mod_prime
@@ -92,7 +95,7 @@ def test_verify_K_small_grid(d, q):
 def test_pullback_span_rank_rank_two():
     for q in (2, 3, 5):
         assert cx.pullback_span_rank(ParabolicType.empty(2), q) == 1
-        assert coh.dim_v_span_rank(ParabolicType.empty(2), q) == q
+        assert cx.dim_v_span_rank(ParabolicType.empty(2), q) == q
     assert cx.pullback_span_rank(ParabolicType.full(2), 2) == 0
 
 
@@ -109,12 +112,12 @@ def test_exact_rank_agrees_with_modular_probe_on_K_matrices():
 def test_stalk_of_projective_line_point():
     g = from_values([1, -1])
     flag = next(iter(enumerate_flags(g, 2, 1)))
-    sp = cx.build_stalk(flag, SS)
-    assert len(sp.vertices) == 1
-    assert cx.stalk_homology(sp) == (0, 0)
-    witness = cx.quillen_witness(sp, flag, SS)
-    assert witness.ok and witness.u0 == sp.vertices[0]
-    assert witness.pairs == ((sp.vertices[0], sp.vertices[0]),)
+    verts = cx.build_stalk(flag, SS)
+    assert len(verts) == 1
+    assert cx.stalk_homology(verts) == (0, 0)
+    witness = cx.quillen_witness(verts, flag, SS)
+    assert witness.ok and witness.u0 == verts[0]
+    assert witness.pairs == ((verts[0], verts[0]),)
 
 
 def test_semistable_flag_reports_not_in_y():
@@ -122,7 +125,7 @@ def test_semistable_flag_reports_not_in_y():
     semistable = [
         flag
         for flag in enumerate_flags(g, 2, 2)
-        if cx.build_stalk(flag, SS).is_empty
+        if not cx.build_stalk(flag, SS)
     ]
     assert len(semistable) == 2
     rep = cx.stalk_report(semistable[0], SS)
@@ -147,8 +150,7 @@ def test_chain_poset_images_take_the_larger_summand():
     g = from_values([1, 0, -1])
     found = 0
     for flag in enumerate_flags(g, 2, 2):
-        sp = cx.build_stalk(flag, SS)
-        vs = sp.vertices
+        vs = cx.build_stalk(flag, SS)
         if len(vs) < 2:
             continue
         if not all(
@@ -158,7 +160,7 @@ def test_chain_poset_images_take_the_larger_summand():
         ):
             continue
         found += 1
-        witness = cx.quillen_witness(sp, flag, SS)
+        witness = cx.quillen_witness(vs, flag, SS)
         assert witness.ok
         for u, image in witness.pairs:
             assert image == (u if witness.u0.is_subspace_of(u) else witness.u0)
@@ -174,11 +176,11 @@ def test_witness_base_is_the_first_minimal_vertex():
     g = from_values([3, 1, -1, -3])
     stalks = 0
     for flag in enumerate_flags(g, 2, 1):
-        sp = cx.build_stalk(flag, SS)
-        if sp.is_empty:
+        verts = cx.build_stalk(flag, SS)
+        if not verts:
             continue
         stalks += 1
-        assert cx.quillen_witness(sp, flag, SS).u0 == first_minimal_vertex(sp.vertices)
+        assert cx.quillen_witness(verts, flag, SS).u0 == first_minimal_vertex(verts)
     assert stalks == 315
 
 
@@ -204,3 +206,49 @@ def test_closed_stratum_count_rank_four():
     assert geometric == predicted
     with pytest.raises(ConfigError):
         cx.closed_stratum_count(g, SS, ParabolicType.full(4), 2)
+
+
+# -- package structure -------------------------------------------------------------
+
+
+PACKAGE = Path(cx.__file__).resolve().parent
+
+
+def intra_package_imports() -> dict[str, set[str]]:
+    """For each perdom module, the perdom modules it imports with a relative
+    `from` statement anywhere in its body, function-local ones included."""
+    modules = {}  # module name -> (file, the package its relative imports start from)
+    for path in PACKAGE.rglob("*.py"):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        package = ".".join(parts[:-1])
+        modules[package if parts[-1] == "__init__" else ".".join(parts)] = (path, package)
+    graph = {}
+    for name, (path, package) in modules.items():
+        edges = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                target = f"{base}.{node.module}" if node.module else base
+                # `from . import x` imports module x; `from .x import y` imports x
+                edges |= {f"{target}.{a.name}" for a in node.names} | {target}
+        graph[name] = (edges & modules.keys()) - {name}
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = intra_package_imports()
+    assert "perdom.cohomology" in graph["perdom.complexes"]
+    state: dict[str, str] = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for dep in sorted(graph.get(name, ())):
+            if state.get(dep) == "open":
+                raise AssertionError("import cycle: " + " -> ".join(path + [dep]))
+            if dep not in state:
+                visit(dep, path + [dep])
+        state[name] = "done"
+
+    for name in sorted(graph):
+        if name not in state:
+            visit(name, [name])

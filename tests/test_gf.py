@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
+import sympy
 
 from perdom.errors import ConfigError
-from perdom.exactalg.gf import make_field
+from perdom.exactalg.gf import PRIME_BOUND, check_field, is_prime, make_field, require_prime
 
 # orders for which the axioms are checked over every element triple
 AXIOM_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 1), (2, 4), (5, 2), (3, 3), (7, 2), (2, 6), (3, 4)]
@@ -26,6 +28,43 @@ def test_make_field_rejects_bad_input():
         make_field(2, 0)
     with pytest.raises(ConfigError):
         make_field(2, 25)  # 2^25 over the default bound
+
+
+def trial_division(m: int) -> bool:
+    return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [m for m in range(10**5) if is_prime(m)] == [
+        m for m in range(10**5) if trial_division(m)
+    ]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each passes Miller-Rabin for every base up to 2, 3, 5, 7, 17 and 23 in turn
+    for m in (2047, 1373653, 25326001, 3215031751, 341550071728321, 3825123056546413051):
+        assert not is_prime(m)
+    for m in (10**18 + 3, 2**61 - 1, PRIME_BOUND - 59):
+        assert is_prime(m)
+
+
+def test_is_prime_agrees_with_sympy_on_64_bit_samples():
+    rng = random.Random(64)
+    samples = [rng.randrange(2**32, PRIME_BOUND) for _ in range(300)]
+    primes = [sympy.randprime(2**31, 2**32) for _ in range(20)]
+    samples += [a * b for a, b in zip(primes, primes[1:])]
+    samples += [sympy.prevprime(rng.randrange(2**40, PRIME_BOUND)) for _ in range(20)]
+    for m in samples:
+        assert is_prime(m) == sympy.isprime(m), m
+
+
+def test_base_field_sizes_from_2_to_the_64_are_refused():
+    for q in (PRIME_BOUND, PRIME_BOUND + 13):  # 2^64 + 13 is prime
+        with pytest.raises(ConfigError, match="below 2"):
+            require_prime(q)
+        with pytest.raises(ConfigError):
+            check_field(q, 1)
+    require_prime(PRIME_BOUND - 59)
 
 
 def test_make_field_is_cached():

@@ -209,7 +209,6 @@ def test_family_membership_and_ss():
 def test_parse_family_forms():
     assert parse_family("ss") == ClosedFamily.semistable()
     assert parse_family("ge:1/2") == ClosedFamily(F(1, 2), strict=False)
-    assert parse_family({"threshold": [3, 4], "strict": True}) == ClosedFamily(F(3, 4), True)
     for bad in ("gt:1", "ge:x", {"threshold": [1]}, 17):
         with pytest.raises(ConfigError):
             parse_family(bad)

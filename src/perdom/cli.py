@@ -57,25 +57,33 @@ def _parse_g(args) -> slopes.SlopeFunction:
     return slopes.from_values(values)
 
 
-def _parse_n_range(spec: str | None) -> tuple[int, ...]:
+def _parse_n_ranges(spec: str | None) -> tuple[range, ...]:
+    """The nonempty ranges of extension degrees in spec, e.g. "2" or "1..3",
+    unexpanded: commands price them by their endpoints and call _n_values
+    only after the budget gate."""
     if not spec:
         return ()
-    out: list[int] = []
+    out: list[range] = []
     try:
         for part in spec.split(","):
             part = part.strip()
             if ".." in part:
                 lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
+                out.append(range(int(lo), int(hi) + 1))
             elif part:
-                out.append(int(part))
+                out.append(range(int(part), int(part) + 1))
     except ValueError as exc:
         raise ConfigError(f"cannot parse extension degrees from {spec!r}") from exc
+    out = [r for r in out if r]
     if not out:
         raise ConfigError(f"empty extension-degree range {spec!r}")
-    if any(n < 1 for n in out):
+    if min(r.start for r in out) < 1:
         raise ConfigError("extension degrees must be >= 1")
-    return tuple(dict.fromkeys(out))
+    return tuple(out)
+
+
+def _n_values(ranges) -> tuple[int, ...]:
+    return tuple(dict.fromkeys(n for r in ranges for n in r))
 
 
 def _budget(args) -> int:
@@ -91,8 +99,8 @@ def _budget(args) -> int:
 
 
 def _require_budget(args, price, what: str):
-    """The one budget gate: every enumerating command calls it once, in the
-    parent process, and exits 4 before enumerating more than the budget.
+    """The one budget gate: every enumerating command calls it once and
+    exits 4 before enumerating more than the budget.
     price(cap) is the work, or math.inf once its running value passes cap."""
     budget = _budget(args)
     if price(budget) > budget:
@@ -100,24 +108,6 @@ def _require_budget(args, price, what: str):
         raise BudgetExceededError(
             f"enumeration needs more {what} than the budget of {budget} (raise with {raise_with})"
         )
-
-
-def _worker_count(jobs: int, tasks: int) -> int:
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, tasks, os.cpu_count() or 1)
-
-
-def _map_jobs(fn, tasks, jobs: int) -> list:
-    """fn(*task) for each task, in order, on min(jobs, #tasks, #cpus) worker processes."""
-    workers = _worker_count(jobs, len(tasks))
-    if workers > 1:
-        # imported here so that single-worker runs never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*t) for t in tasks]
 
 
 def _emit_json(payload, path: str | None):
@@ -158,20 +148,40 @@ def _parse_family(args) -> slopes.ClosedFamily:
 # -- subcommands ----------------------------------------------------------------
 
 
+def _require_printable_traces(entries, q: int, n: int):
+    """ConfigError, before any trace is evaluated, if one over GF(q^n) could
+    pass the interpreter's integer-to-string digit limit (0: no limit): a
+    trace is a sum of len(entries) terms dim * q^(n * length)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    scale = len(entries) * max(coh.rep_dim(e.rep, q) for e in entries)
+    # log10(q) > 1/4, so an exponent past 4 * limit is too large already
+    exponent = min(n * max(e.length for e in entries), 4 * limit)
+    if limit and exponent * math.log10(q) + math.log10(scale) >= limit:
+        raise ConfigError(
+            f"a trace at n={n} can pass Python's {limit}-digit limit for printing integers"
+        )
+
+
 def cmd_table(args) -> int:
     g = _parse_g(args)
-    family = slopes.parse_family(args.family)
-    ns = _parse_n_range(args.n)
-    # d^2 units per representative: its length counts inversions over
-    # d(d-1)/2 pairs, and I_w reads d partial sums; there are d!/prod m_i!
-    # representatives, the q-multinomial at q = 1
-    _require_budget(
-        args,
-        lambda cap: capped(q_multinomial(g.mults, 1, cap) * g.d**2, cap),
-        "work units (d^2 per Kostant representative)",
-    )
+    family = _parse_family(args)
+    require_prime(args.q)
+    ranges = _parse_n_ranges(args.n)
+    degrees = sum(r.stop - r.start for r in ranges)  # repeats included
+
+    def price(cap):
+        # d^2 units per representative: its length counts inversions over
+        # d(d-1)/2 pairs, and I_w reads d partial sums; there are d!/prod m_i!
+        # representatives, the q-multinomial at q = 1.  Each n adds one unit
+        # per trace term, at most three per representative (one open, two closed)
+        return capped(q_multinomial(g.mults, 1, cap) * (g.d**2 + 3 * capped(degrees, cap)), cap)
+
+    _require_budget(args, price, "work units (d^2, plus 3 per n, per Kostant representative)")
     open_table = coh.table_open(g, family)
     closed_table = coh.table_closed(g, family)
+    ns = _n_values(ranges)
+    if ns:
+        _require_printable_traces(open_table.entries + closed_table.entries, args.q, max(ns))
     md = (
         f"## open stratum (d={g.d}, q={args.q}, family {family.describe()})\n\n"
         + coh.table_markdown(open_table, args.q)
@@ -194,51 +204,39 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _zeta_one(g, family, q, n):
-    predicted_open, predicted_closed, total = coh.predicted_counts(g, family, q, n)
-    report = flagenum.count_points(g, family, q, n)
-    return {
-        "n": n,
-        "predicted_open": predicted_open,
-        "predicted_closed": predicted_closed,
-        "predicted_total": predicted_open + predicted_closed,
-        "cell_total": total,
-        "enumerated_open": report.in_open,
-        "enumerated_closed": report.in_y,
-        "enumerated_total": report.total,
-    }
-
-
 def _flag_inputs(args):
     """(g, family, ns) for the commands that enumerate flags, after the
     budget gate: every flag is classified against every rational subspace,
     and the price grows with n, so the largest n decides."""
     g = _parse_g(args)
     family = _parse_family(args)
-    ns = _parse_n_range(args.n) or (1,)
+    ranges = _parse_n_ranges(args.n) or (range(1, 2),)
+    n = max(r[-1] for r in ranges)
     _require_budget(
-        args, lambda cap: flagenum.classification_tests(g, args.q, max(ns), cap), "flag/subspace tests"
+        args, lambda cap: flagenum.classification_tests(g, args.q, n, cap), "flag/subspace tests"
     )
-    return g, family, ns
+    return g, family, _n_values(ranges)
 
 
 def cmd_zeta(args) -> int:
     g, family, ns = _flag_inputs(args)
-    rows = _map_jobs(_zeta_one, [(g, family, args.q, n) for n in ns], args.jobs)
+    rows = []
     ok = True
-    for row in rows:
-        match = (
-            row["predicted_open"] == row["enumerated_open"]
-            and row["predicted_closed"] == row["enumerated_closed"]
-            and row["predicted_total"] == row["enumerated_total"]
-            and row["cell_total"] == row["enumerated_total"]
+    for n in ns:
+        p_open, p_closed, cells = coh.predicted_counts(g, family, args.q, n)
+        report = flagenum.count_points(g, family, args.q, n)
+        match = (p_open, p_closed, p_open + p_closed, cells) == (
+            report.in_open, report.in_y, report.total, report.total
         )
         ok = ok and match
+        rows.append(dict(
+            n=n, predicted_open=p_open, predicted_closed=p_closed,
+            predicted_total=p_open + p_closed, cell_total=cells, enumerated_open=report.in_open,
+            enumerated_closed=report.in_y, enumerated_total=report.total,
+        ))
         sys.stdout.write(
-            f"n={row['n']}: open {row['predicted_open']}/{row['enumerated_open']} "
-            f"closed {row['predicted_closed']}/{row['enumerated_closed']} "
-            f"total {row['predicted_total']}/{row['enumerated_total']} "
-            f"[{'ok' if match else 'MISMATCH'}]\n"
+            f"n={n}: open {p_open}/{report.in_open} closed {p_closed}/{report.in_y} "
+            f"total {p_open + p_closed}/{report.total} [{'ok' if match else 'MISMATCH'}]\n"
         )
     _emit_json({"d": g.d, "q": args.q, "rows": rows, "pass": ok}, args.json)
     if not ok:
@@ -305,8 +303,7 @@ def cmd_kcomplex(args) -> int:
         subsets = [p for p in subsets if checks.corruptible(p)]
         if not subsets:
             raise ConfigError("the sign-corruption hook needs a complex with two differentials")
-    tasks = [(ptype, q, signs) for ptype in subsets]
-    reports = _map_jobs(checks.induction_report, tasks, args.jobs)
+    reports = [checks.induction_report(ptype, q, signs) for ptype in subsets]
     ok = True
     for rep in reports:
         ok = ok and rep.passed
@@ -363,7 +360,7 @@ def cmd_verify_all(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False, jobs=False):
+def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False):
     if g:
         sub.add_argument("--g", help='slope values "2,1,-3" (fractions allowed) or @config.json')
         sub.add_argument("--drinfeld", type=int, metavar="D",
@@ -377,9 +374,6 @@ def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False, job
     if budget:
         sub.add_argument("--budget", type=int,
                          help=f"work budget (default {DEFAULT_BUDGET}, env {ENV_BUDGET})")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (at most one per task and CPU)")
     sub.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
 
 
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("zeta", help="trace predictions vs. brute-force point counts")
-    _add_common(p, family=True, n=True, budget=True, jobs=True)
+    _add_common(p, family=True, n=True, budget=True)
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("dims", help="representation dimensions for all parabolic types")
@@ -411,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dims)
 
     p = subs.add_parser("kcomplex", help="verify induction-complex homology")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.add_argument("--d", type=int, help="ambient dimension (alternative to --g)")
     p.add_argument("--i0", help='reflection subset, e.g. "1,2" (default: all proper subsets)')
     p.add_argument("--corrupt-signs", action="store_true", help=argparse.SUPPRESS)
@@ -422,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stalk)
 
     p = subs.add_parser("verify-all", help="run the consolidated verification suite")
-    p.add_argument("--family", default="ss", help='"ss" or "ge:NUM/DEN"')
+    _add_common(p, g=False, q=False, family=True)
     p.add_argument("--quick", action="store_true", help="reduced grid for smoke testing")
     p.add_argument("--corrupt-signs", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
     p.set_defaults(func=cmd_verify_all)
 
     return parser

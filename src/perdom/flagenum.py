@@ -20,8 +20,6 @@ from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
 
 @dataclass(frozen=True)
 class CountReport:
-    q: int
-    n: int
     total: int
     in_y: int
     in_open: int
@@ -76,4 +74,4 @@ def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> Coun
         total += 1
         if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
             in_y += 1
-    return CountReport(q=p, n=n, total=total, in_y=in_y, in_open=total - in_y)
+    return CountReport(total=total, in_y=in_y, in_open=total - in_y)

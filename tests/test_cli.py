@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +63,7 @@ def test_zeta_consistency_and_jobs_equivalence(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = ["zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2", "--family", "ss"]
     assert main(base + ["--json", str(a)]) == 0
-    assert main(base + ["--jobs", "2", "--json", str(b)]) == 0
+    assert main(base + ["--json", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
@@ -131,6 +133,7 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         ("dims", "--d", "100000", "--q", "2"),
         ("zeta", "--drinfeld", "1000", "--q", "2"),
         ("table", "--drinfeld", "100000", "--q", "2"),
+        ("table", "--g", "1,-1", "--q", "2", "--n", "1..99999999"),
     ],
     ids=[
         "table-13-distinct-values",
@@ -150,6 +153,7 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         "dims-d100000",
         "zeta-drinfeld-1000",
         "table-drinfeld-100000",
+        "table-n-range-priced-unexpanded",
     ],
 )
 def test_table_and_dims_exit_four_before_enumerating(argv):
@@ -170,9 +174,12 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     # --oracle adds d^2 units for each of the 36 points of all coset spaces of GF(2)^3
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "332")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "333")[0] == 0
-    # the largest n prices zeta: 105 flags over GF(4) times 14 rational subspaces,
-    # checked in the parent before any worker starts
-    zeta = ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2", "--jobs", "2")
+    # each n adds 3 units per representative: 6 * (9 + 3 * 3) = 108
+    table = ("table", "--g", "2,1,-3", "--q", "2", "--n", "1..3")
+    assert run(capsys, *table, "--budget", "107")[0] == 4
+    assert run(capsys, *table, "--budget", "108")[0] == 0
+    # the largest n prices zeta: 105 flags over GF(4) times 14 rational subspaces
+    zeta = ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2")
     assert run(capsys, *zeta, "--budget", "1469")[0] == 4
     assert run(capsys, *zeta, "--budget", "1470")[0] == 0
     monkeypatch.setenv("PERDOM_BUDGET", "5")
@@ -219,7 +226,7 @@ def test_kcomplex_json(tmp_path, capsys):
 
 
 def test_kcomplex_single_subset_and_jobs(capsys):
-    code, out, _ = run(capsys, "kcomplex", "--d", "4", "--q", "2", "--i0", "1,2", "--jobs", "2")
+    code, out, _ = run(capsys, "kcomplex", "--d", "4", "--q", "2", "--i0", "1,2")
     assert code == 0
     assert "I0=[1, 2]" in out
 
@@ -266,7 +273,7 @@ def test_zeta_mismatch_exits_three(capsys, monkeypatch):
 
     def broken_count(g, family, p, n):
         total = 21
-        return CountReport(q=p, n=n, total=total, in_y=total - 1, in_open=1)
+        return CountReport(total=total, in_y=total - 1, in_open=1)
 
     monkeypatch.setattr(cli_mod.flagenum, "count_points", broken_count)
     code, out, err = run(capsys, "zeta", "--g", "2,1,-3", "--q", "2", "--n", "1")
@@ -303,6 +310,12 @@ def test_bad_n_ranges_exit_two(capsys):
         ("dims", "--d", "2", "--q", str(2**64 + 13)),
         ("table", "--g", "1,-1", "--q", str(2**64 + 13)),
         ("stalk", "--g", "1,-1", "--q", str(2**64 + 13)),
+        ("table", "--drinfeld", "100000", "--q", "4"),
+        ("table", "--drinfeld", "100000", "--q", "2", "--family", "ge:-1"),
+        ("zeta", "--g", "1,-1", "--q", "2", "--n", "1..99999999"),
+        ("table", "--g", "1,-1", "--q", "2", "--n", "14300"),
+        ("table", "--drinfeld", "9", "--q", "2", "--n", "1800", "--json", "-"),
+        ("table", "--g", "1,-1", "--q", "2", "--n", "1" + "0" * 4000),
     ],
     ids=[
         "missing-config",
@@ -325,6 +338,12 @@ def test_bad_n_ranges_exit_two(capsys):
         "dims-q-above-2^64",
         "table-q-above-2^64",
         "stalk-q-above-2^64",
+        "table-q-not-prime-before-pricing",
+        "table-family-nonpositive-before-pricing",
+        "zeta-n-range-priced-unexpanded",
+        "table-trace-above-digit-limit",
+        "table-json-trace-above-digit-limit",
+        "table-n-4001-digits",
     ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path):
@@ -334,22 +353,25 @@ def test_bad_inputs_exit_two(argv, tmp_path):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_exit_two(jobs, capsys):
-    code, _, err = run(capsys, "kcomplex", "--d", "2", "--q", "2", "--jobs", jobs)
-    assert code == 2 and "--jobs" in err
-    code, _, err = run(capsys, "zeta", "--g", "1,-1", "--q", "2", "--jobs", jobs)
-    assert code == 2 and "--jobs" in err
+@pytest.mark.parametrize("command", ["zeta", "kcomplex"])
+def test_jobs_option_is_refused(command, capsys):
+    # zeta and kcomplex take no --jobs: every command runs in one process
+    argv = [command, "--d" if command == "kcomplex" else "--drinfeld", "2", "--q", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--jobs" not in capsys.readouterr().out
 
 
-def test_jobs_clamped_to_tasks_and_cpus(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._worker_count(1, 10) == 1
-    assert cli._worker_count(3, 10) == 3
-    assert cli._worker_count(64, 2) == 2
-    assert cli._worker_count(64, 10) == 4
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._worker_count(64, 10) == 1
+def test_table_prints_long_traces_below_the_digit_limit():
+    code, out, err = run_bounded(["table", "--g", "1,-1", "--q", "2", "--n", "1..2000"])
+    assert code == 0 and err == ""
+    assert out.count("\nn=") == 2000
+    # the open trace is q^n - 2, the closed one 3: 603 digits at n = 2000
+    assert out.endswith(f"n=2000: open {2**2000 - 2}, closed 3, total {2**2000 + 1}\n")
 
 
 def test_large_prime_q_is_decided_at_once():
@@ -404,6 +426,7 @@ def test_module_entrypoint_subprocess():
         [sys.executable, "-m", "perdom.cli", "table", "--drinfeld", "2", "--q", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0
     assert "v_B" in proc.stdout
@@ -423,9 +446,25 @@ def test_cli_imports_only_the_standard_library():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         check=True,
     )
-    # multiprocessing registers the running script under the alias __mp_main__
-    loaded = set(proc.stdout.split()) - {"__mp_main__"}
+    loaded = set(proc.stdout.split())
     assert "perdom" in loaded
     assert loaded - sys.stdlib_module_names == {"perdom"}
-    # the worker pool is imported only when a command runs on several workers
+    # every command runs in one process: no worker pool is loaded
     assert not loaded & {"concurrent", "multiprocessing"}
+
+
+def test_readme_names_every_cli_option():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    shown, defined = set(), set()
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            defined.update(action.option_strings)
+            if action.help != argparse.SUPPRESS and "--help" not in action.option_strings:
+                shown.update(action.option_strings)
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", readme))
+    assert shown - named == set()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", section)) - defined == set()

@@ -113,12 +113,15 @@ def check_induction_complexes(quick, family, signs) -> bool:
 def check_stalks(quick, family, signs) -> bool:
     """Every stalk on the closed stratum contracts; the flag count and the
     number of flags on the closed stratum match their predictions."""
-    g = slopes.from_values([2, 1, -3])
-    return all(
-        cx.stalk_counts(g, family, 2, n)
-        == (flagenum.flag_count(g, 2, n), coh.predicted_counts(g, family, 2, n)[1], 0)
-        for n in ((1,) if quick else (1, 2))
-    )
+    grid = [((2, 1, -3), 1)]
+    if not quick:
+        grid += [((2, 1, -3), 2), ((3, 1, -1, -3), 1)]
+    for values, n in grid:
+        g = slopes.from_values(values)
+        predicted = (flagenum.flag_count(g, 2, n), coh.predicted_counts(g, family, 2, n)[1], 0)
+        if cx.stalk_counts(g, family, 2, n) != predicted:
+            return False
+    return True
 
 
 def check_closed_strata(quick, family, signs) -> bool:

@@ -201,24 +201,31 @@ def _containment(p: int, d: int):
     return {u: i for i, u in enumerate(subs)}, above
 
 
-def _stalk_chains(verts: Vertices) -> list[list[tuple[int, ...]]]:
-    """Chains of the poset grouped by length (order-complex simplices)."""
+def _stalk_above(verts: Vertices) -> tuple[tuple[int, ...], ...]:
+    """For each vertex, the indices of the vertices properly containing it,
+    ascending: the poset relation relabelled to positions in verts."""
     position, contained_in = _containment(verts[0].field.p, verts[0].ambient_dim)
     local = {position[v]: i for i, v in enumerate(verts)}
-    above = [[local[j] for j in contained_in[position[v]] if j in local] for v in verts]
+    return tuple(tuple(local[j] for j in contained_in[position[v]] if j in local) for v in verts)
+
+
+def _stalk_chains(above) -> list[list[tuple[int, ...]]]:
+    """Chains of the poset grouped by length (order-complex simplices)."""
     levels: list[list[tuple[int, ...]]] = []
-    current = [(i,) for i in range(len(verts))]
+    current = [(i,) for i in range(len(above))]
     while current:
         levels.append(current)
         current = [chain + (j,) for chain in current for j in above[chain[-1]]]
     return levels
 
 
-def stalk_homology(verts: Vertices) -> tuple[int, ...]:
+@lru_cache(maxsize=256)
+def _order_complex_homology(above) -> tuple[int, ...]:
     """Reduced homology dimensions (degrees -1, 0, 1, ...) of the order
-    complex of a nonempty poset, from its reduced simplicial chain complex
-    encoded as transposed boundary maps (ranks are unchanged)."""
-    levels = _stalk_chains(verts)
+    complex of the poset `above` describes, from its reduced simplicial chain
+    complex encoded as transposed boundary maps (ranks are unchanged).  The
+    complex depends only on the relation, and many stalks share one."""
+    levels = _stalk_chains(above)
     dims = (1,) + tuple(len(level) for level in levels)
     index = [{chain: i for i, chain in enumerate(level)} for level in levels]
     # augmentation: every vertex hits the empty simplex with coefficient 1
@@ -231,6 +238,11 @@ def stalk_homology(verts: Vertices) -> tuple[int, ...]:
         )
         maps.append(MatrixQ(len(levels[p]), len(levels[p - 1]), rows))
     return chain_complex(-1, dims, maps).homology_dims()
+
+
+def stalk_homology(verts: Vertices) -> tuple[int, ...]:
+    """Reduced homology dimensions of the order complex of a nonempty poset."""
+    return _order_complex_homology(_stalk_above(verts))
 
 
 @dataclass(frozen=True)

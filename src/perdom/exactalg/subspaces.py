@@ -44,6 +44,17 @@ def rref(field: FieldSpec, rows) -> tuple[tuple[tuple[int, ...], ...], tuple[int
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def _reduce(field: FieldSpec, row, basis):
+    """row minus its components along a reduced echelon basis: each basis row
+    clears its pivot column (its leading 1), so the result is zero iff row lies
+    in the span."""
+    for b in basis:
+        f = row[b.index(1)]
+        if f:
+            row = field.axpy(row, field.neg(f), b)
+    return row
+
+
 def mat_mul(field: FieldSpec, a, b) -> tuple[tuple[int, ...], ...]:
     """Product of matrices with entries in `field` (rows of tuples)."""
     ncols = len(b[0]) if b else 0
@@ -87,7 +98,8 @@ class SubspaceGF:
             raise ConfigError("subspace operation across different ambients")
 
     def is_subspace_of(self, other: "SubspaceGF") -> bool:
-        return self.sum_with(other) == other
+        self._check_compatible(other)
+        return not any(any(_reduce(self.field, row, other.basis)) for row in self.basis)
 
     def sum_with(self, other: "SubspaceGF") -> "SubspaceGF":
         self._check_compatible(other)
@@ -97,18 +109,11 @@ class SubspaceGF:
         # Zassenhaus: in the echelon form of the rows (a | a) over (b | 0), a row
         # with its pivot in the right half reads (a + b | a) = (0 | a), a in both;
         # those right halves are the reduced echelon basis of the intersection.
-        # The rows (b | 0) are already reduced, so clear their pivot columns
-        # (each row's leading 1) from every (a | a) and echelon only those rows
+        # The rows (b | 0) are already reduced, so reduce the left half of every
+        # (a | a) against them and echelon only those rows
         self._check_compatible(other)
         field, d = self.field, self.ambient_dim
-        rows = []
-        for a in self.basis:
-            left = a
-            for b in other.basis:
-                f = left[b.index(1)]
-                if f:
-                    left = field.axpy(left, field.neg(f), b)
-            rows.append((*left, *a))
+        rows = [(*_reduce(field, a, other.basis), *a) for a in self.basis]
         red, pivots = rref(field, rows)
         basis = tuple(row[d:] for row, c in zip(red, pivots) if c >= d)
         return SubspaceGF(field, d, basis)

@@ -197,7 +197,10 @@ class ClosedFamily:
         return cls(Fraction(0), True)
 
     def contains_degree(self, degree: Fraction) -> bool:
-        return degree > self.threshold if self.strict else degree >= self.threshold
+        # cross-multiplied (denominators are positive): cheaper than comparing Fractions
+        t = self.threshold
+        lhs, rhs = degree.numerator * t.denominator, t.numerator * degree.denominator
+        return lhs > rhs if self.strict else lhs >= rhs
 
     def contains(self, h: Subfunction) -> bool:
         return self.contains_degree(h.degree)
@@ -316,16 +319,18 @@ def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     Walks from the top down, reading each dim(U meet F_j) from flag.meets or
     computing it by one intersection, and stops at the first zero meet; the
     last member is the full space."""
-    if not (flag.field.is_extension_of(u.field) or flag.field == u.field):
-        u.extend_scalars(flag.field)  # raises ConfigError before a table hit can skip it
+    field = flag.field
+    if u.field is not field and not (field.is_extension_of(u.field) or field == u.field):
+        u.extend_scalars(field)  # raises ConfigError before a table hit can skip it
     out = [0] * len(flag.members)
     dim, j = u.dim, len(out) - 1
     while j and dim:
         member = flag.members[j - 1]
-        table = flag.meets.setdefault(member.basis, {})
-        meet = table.get(u.basis)
+        table = flag.meets.get(member.basis)
+        meet = None if table is None else table.get(u.basis)
         if meet is None:
-            meet = table[u.basis] = u.extend_scalars(flag.field).intersect(member).dim
+            meet = u.extend_scalars(field).intersect(member).dim
+            flag.meets.setdefault(member.basis, {})[u.basis] = meet
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim

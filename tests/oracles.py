@@ -5,6 +5,8 @@ code with perdom's exact rational rank; the tests compare the two.  Over a
 large prime the ranks agree on the small integer matrices the tests build.
 kernel_intersection is the kernel route to a subspace intersection over
 GF(q), the one perdom used before its single-echelon (Zassenhaus) route.
+containment_by_sum is the containment test perdom used before it reduced
+rows against the echelon basis: A lies in B iff A + B is B.
 matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
 """
 
@@ -106,3 +108,8 @@ def kernel_intersection(a: SubspaceGF, b: SubspaceGF) -> SubspaceGF:
             vec = [field.add(x, field.mul(ci, y)) for x, y in zip(vec, row)]
         vecs.append(tuple(vec))
     return SubspaceGF.from_rows(field, d, vecs)
+
+
+def containment_by_sum(a: SubspaceGF, b: SubspaceGF) -> bool:
+    """A inside B iff the canonical echelon basis of A + B is that of B."""
+    return a.sum_with(b) == b

@@ -8,7 +8,7 @@ from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom.errors import ConfigError, InternalCheckError
 from perdom.flagenum import enumerate_flags
-from perdom.slopes import ClosedFamily, from_values
+from perdom.slopes import ClosedFamily, from_values, parse_family
 from perdom.weyl import ParabolicType, length, parabolic_types
 
 SS = ClosedFamily.semistable()
@@ -182,6 +182,29 @@ def test_witness_base_is_the_first_minimal_vertex():
         stalks += 1
         assert cx.quillen_witness(verts, flag, SS).u0 == first_minimal_vertex(verts)
     assert stalks == 315
+
+
+@pytest.mark.parametrize(
+    "values,family,ns", [([3, 1, -1, -3], "ss", (1,)), ([2, 1, -3], "ge:1", (1, 2))]
+)
+def test_cached_stalk_homology_equals_a_fresh_computation(values, family, ns):
+    g, family = from_values(values), parse_family(family)
+    stalks = 0
+    for n in ns:
+        for flag in enumerate_flags(g, 2, n):
+            verts = cx.build_stalk(flag, family)
+            if not verts:
+                continue
+            stalks += 1
+            fresh = cx._order_complex_homology.__wrapped__(cx._stalk_above(verts))
+            assert cx.stalk_homology(verts) == fresh
+    assert stalks
+
+
+def test_stalks_of_one_type_share_few_containment_relations():
+    cx._order_complex_homology.cache_clear()
+    assert cx.stalk_counts(from_values([3, 1, -1, -3]), SS, 2, 1) == (315, 315, 0)
+    assert 0 < cx._order_complex_homology.cache_info().currsize <= 27
 
 
 # -- closed-stratum counting -------------------------------------------------------

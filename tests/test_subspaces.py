@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import kernel_intersection
+from oracles import containment_by_sum, kernel_intersection
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
 from perdom.exactalg.qcount import q_binomial, q_multinomial
@@ -95,9 +95,24 @@ def test_modular_dimension_law_all_pairs(d, q):
 
 
 def test_ambient_mismatch_rejected():
-    f = make_field(2, 1)
+    f2, f3 = make_field(2, 1), make_field(3, 1)
+    line = span(f2, 3, e_basis(3, 1))
     with pytest.raises(ConfigError):
-        span(f, 3, e_basis(3, 1)).sum_with(span(f, 4, e_basis(4, 1)))
+        line.sum_with(span(f2, 4, e_basis(4, 1)))
+    for other in (span(f2, 4, e_basis(4, 1, 2)), span(f3, 3, e_basis(3, 1, 2))):
+        with pytest.raises(ConfigError):
+            line.is_subspace_of(other)
+        with pytest.raises(ConfigError):
+            other.is_subspace_of(line)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
+def test_containment_matches_sum_oracle_all_pairs(p, n, d):
+    f = make_field(p, n)
+    all_subs = [s for k in range(d + 1) for s in enumerate_subspaces(f, d, k)]
+    for a in all_subs:
+        for b in all_subs:
+            assert a.is_subspace_of(b) == containment_by_sum(a, b)
 
 
 def test_extend_scalars_examples():

@@ -26,7 +26,7 @@ from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
 from .exactalg.subspaces import SubspaceGF, enumerate_chains
-from .flagenum import enumerate_flags, rational_subspaces
+from .flagenum import enumerate_flags, flag_orbits, rational_subspaces
 from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_type
 from .weyl import ParabolicType
 
@@ -296,13 +296,15 @@ def stalk_report(flag: FilteredSpace, family: ClosedFamily) -> StalkReport:
 
 def stalk_counts(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> tuple[int, int, int]:
     """(flags, flags on the closed stratum, failed stalks) over every flag
-    of type g over GF(p^n)."""
+    of type g over GF(p^n).  A flag's stalk depends only on the dims of its
+    meets with rational subspaces, so one report per Frobenius orbit counts
+    for the whole orbit."""
     flags = in_y = failed = 0
-    for flag in enumerate_flags(g, p, n):
+    for flag, size in flag_orbits(g, p, n):
         rep = stalk_report(flag, family)
-        flags += 1
-        in_y += rep.in_y
-        failed += not rep.passed
+        flags += size
+        in_y += size * rep.in_y
+        failed += size * (not rep.passed)
     return flags, in_y, failed
 
 

@@ -122,6 +122,7 @@ class FieldSpec:
         self._mul_table = None
         self._add_table = None
         self._inv_table = None
+        self._frob = {}  # x -> x^p; a full table at or below _TABLE_LIMIT, a memo above
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -165,6 +166,7 @@ class FieldSpec:
         self._add_table = tuple(tuple(r) for r in add)
         self._mul_table = tuple(mul)
         self._inv_table = (0, *(exp[-log[a]] for a in range(1, q)))
+        self._frob = (0, *(exp[log[a] * p % (q - 1)] for a in range(1, q)))
 
     def _add_raw(self, a, b):
         if self.n == 1:
@@ -226,6 +228,18 @@ class FieldSpec:
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.order - 2)
+
+    def frobenius(self, basis) -> tuple[tuple[int, ...], ...]:
+        """x -> x^p entry by entry.  The Frobenius is a field automorphism that
+        fixes the prime field, 0 and 1 included, so it maps the reduced echelon
+        basis of W to the reduced echelon basis of its image."""
+        frob = self._frob
+        if isinstance(frob, dict):
+            for row in basis:
+                for x in row:
+                    if x not in frob:
+                        frob[x] = self.pow(x, self.p)
+        return tuple(tuple(frob[x] for x in row) for row in basis)
 
     def is_extension_of(self, other: "FieldSpec") -> bool:
         return other.p == self.p and other.n == 1

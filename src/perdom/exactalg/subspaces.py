@@ -172,16 +172,17 @@ def enumerate_subspaces(field: FieldSpec, d: int, dim: int) -> tuple[SubspaceGF,
 
 def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims):
     """Chains of subspaces of the row space of span_rows, given in ambient
-    coordinates, with prescribed increasing dims."""
+    coordinates, with prescribed increasing dims.  span_rows is reduced
+    echelon, and a full-rank reduced echelon coordinate matrix times it is
+    again reduced echelon, so each member's basis is canonical as built."""
     if not dims:
         yield ()
         return
     m = len(span_rows)
     k = dims[-1]
     for coord_rows in _rref_rows(field, m, k):
-        amb_rows = mat_mul(field, coord_rows, span_rows)
-        member = SubspaceGF.from_rows(field, ambient_dim, amb_rows)
-        for prefix in _chains_within(field, ambient_dim, amb_rows, dims[:-1]):
+        member = SubspaceGF(field, ambient_dim, mat_mul(field, coord_rows, span_rows))
+        for prefix in _chains_within(field, ambient_dim, member.basis, dims[:-1]):
             yield prefix + (member,)
 
 

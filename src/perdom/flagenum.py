@@ -2,7 +2,8 @@
 
 Enumerates every flag of a prescribed type exactly once (canonical echelon
 chains, largest member first), classifies each against a degree-threshold
-family using all prime-field rational subspaces, and reports exact counts.
+family using all prime-field rational subspaces, one flag per Frobenius
+orbit, and reports exact counts.
 flag_count and classification_tests price an enumeration without running it;
 callers compare that price against their work budget first.
 """
@@ -65,13 +66,31 @@ def enumerate_flags(g: SlopeFunction, p: int, n: int):
         yield FilteredSpace(field, g, chain + (full,), {} if shared is None else shared)
 
 
+def flag_orbits(g: SlopeFunction, p: int, n: int):
+    """Yield (flag, orbit size) for one flag of each Frobenius orbit of the
+    flags of type g over GF(p^n): the flag whose tuple of proper-member bases
+    is least among its images under x -> x^p.  The Frobenius fixes every
+    rational subspace, so dim(U meet F_j) is the same for all flags of an
+    orbit and so is every verdict built from it.  At n = 1 it is the identity:
+    every flag, size 1."""
+    for flag in enumerate_flags(g, p, n):
+        key = image = tuple(m.basis for m in flag.members[:-1])
+        for size in range(1, n + 1):  # the n-th image is the flag itself
+            image = tuple(map(flag.field.frobenius, image))
+            if image <= key:
+                break
+        if image == key:
+            yield flag, size
+
+
 def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> CountReport:
-    """Classify every flag of type g over GF(p^n) against the family."""
+    """Classify one flag of each Frobenius orbit of type g over GF(p^n)
+    against the family, weighted by the orbit size."""
     subspaces = rational_subspaces(p, g.d)
     total = 0
     in_y = 0
-    for flag in enumerate_flags(g, p, n):
-        total += 1
+    for flag, size in flag_orbits(g, p, n):
+        total += size
         if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
-            in_y += 1
+            in_y += size
     return CountReport(total=total, in_y=in_y, in_open=total - in_y)

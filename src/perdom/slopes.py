@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 
 from .errors import ConfigError, InternalCheckError
-from .exactalg.gf import FieldSpec
+from .exactalg.gf import FieldSpec, make_field
 from .exactalg.subspaces import SubspaceGF
 from .weyl import (
     Perm,
@@ -314,23 +314,45 @@ class FilteredSpace:
     meets: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
 
+def _new_meet_table(flag: FilteredSpace, meets: dict, basis) -> dict:
+    """An empty meet table for a member basis, filed in meets.  A rational U
+    is fixed by the Frobenius x -> x^p, so dim(U meet W) = dim(U meet
+    sigma(W)); where flags share the table (two or more proper members) and
+    n > 1, the member's Frobenius images get the same dict, so each (member
+    orbit, U) pair is intersected once."""
+    table = meets[basis] = {}
+    field = flag.field
+    if len(flag.members) > 2:
+        image = basis
+        for _ in range(field.n - 1):  # the n-th image is the member itself
+            image = field.frobenius(image)
+            meets[image] = table
+    return table
+
+
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
     Walks from the top down, reading each dim(U meet F_j) from flag.meets or
     computing it by one intersection, and stops at the first zero meet; the
-    last member is the full space."""
+    last member is the full space.  Only a rational U reads or fills
+    flag.meets: a member's table also serves its Frobenius images, and the
+    Frobenius fixes U only when U is rational."""
     field = flag.field
-    if u.field is not field and not (field.is_extension_of(u.field) or field == u.field):
-        u.extend_scalars(field)  # raises ConfigError before a table hit can skip it
+    rational = u.field is make_field(field.p, 1) or field.is_extension_of(u.field)
+    meets = flag.meets
+    if not rational:
+        u, meets = u.extend_scalars(field), {}  # raises ConfigError for a foreign field
     out = [0] * len(flag.members)
     dim, j = u.dim, len(out) - 1
     while j and dim:
         member = flag.members[j - 1]
-        table = flag.meets.get(member.basis)
+        table = meets.get(member.basis)
         meet = None if table is None else table.get(u.basis)
         if meet is None:
             meet = u.extend_scalars(field).intersect(member).dim
-            flag.meets.setdefault(member.basis, {})[u.basis] = meet
+            if table is None:
+                table = _new_meet_table(flag, meets, member.basis)
+            table[u.basis] = meet
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim

@@ -8,6 +8,8 @@ GF(q), the one perdom used before its single-echelon (Zassenhaus) route.
 containment_by_sum is the containment test perdom used before it reduced
 rows against the echelon basis: A lies in B iff A + B is B.
 matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
+count_points_every_flag and stalk_counts_every_flag classify every flag one
+by one, as perdom did before it classified one flag per Frobenius orbit.
 """
 
 import math
@@ -15,8 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from perdom.complexes import stalk_report
 from perdom.exactalg.rational import MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF, rref
+from perdom.flagenum import CountReport, enumerate_flags, rational_subspaces
+from perdom.slopes import induced_degree
 
 _NP_LIMIT = 2**31  # residues below this keep every int64 product exact
 
@@ -113,3 +118,25 @@ def kernel_intersection(a: SubspaceGF, b: SubspaceGF) -> SubspaceGF:
 def containment_by_sum(a: SubspaceGF, b: SubspaceGF) -> bool:
     """A inside B iff the canonical echelon basis of A + B is that of B."""
     return a.sum_with(b) == b
+
+
+def count_points_every_flag(g, family, p: int, n: int) -> CountReport:
+    """count_points without orbits: classify each flag of type g over GF(p^n)."""
+    subspaces = rational_subspaces(p, g.d)
+    total = in_y = 0
+    for flag in enumerate_flags(g, p, n):
+        total += 1
+        if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
+            in_y += 1
+    return CountReport(total=total, in_y=in_y, in_open=total - in_y)
+
+
+def stalk_counts_every_flag(g, family, p: int, n: int) -> tuple[int, int, int]:
+    """stalk_counts without orbits: one stalk report per flag."""
+    flags = in_y = failed = 0
+    for flag in enumerate_flags(g, p, n):
+        rep = stalk_report(flag, family)
+        flags += 1
+        in_y += rep.in_y
+        failed += not rep.passed
+    return flags, in_y, failed

@@ -90,6 +90,7 @@ TRACE_GRID = [
     ([1, 1, -1, -1], 2, (1, 2)),
     ([3, 1, -1, -3], 2, (1, 2)),
     ([1, 1, -2], 3, (1, 2, 3)),
+    ([2, 2, 2, -3, -3], 2, (1, 2)),
 ]
 
 EXPECTED_OPEN = {

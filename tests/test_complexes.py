@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import rank_mod_prime
+from oracles import rank_mod_prime, stalk_counts_every_flag
 from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom.errors import ConfigError, InternalCheckError
@@ -199,6 +199,12 @@ def test_cached_stalk_homology_equals_a_fresh_computation(values, family, ns):
             fresh = cx._order_complex_homology.__wrapped__(cx._stalk_above(verts))
             assert cx.stalk_homology(verts) == fresh
     assert stalks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_stalk_counts_equal_every_flag_counts(n):
+    g, family = from_values([2, 1, -3]), parse_family("ge:1")
+    assert cx.stalk_counts(g, family, 2, n) == stalk_counts_every_flag(g, family, 2, n)
 
 
 def test_stalks_of_one_type_share_few_containment_relations():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import count_points_every_flag
 from perdom import flagenum
 from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
 from perdom.flagenum import (
@@ -12,9 +13,18 @@ from perdom.flagenum import (
     count_points,
     enumerate_flags,
     flag_count,
+    flag_orbits,
     rational_subspaces,
 )
-from perdom.slopes import ClosedFamily, drinfeld, enumerate_B, from_values, induced_type, subfunction
+from perdom.slopes import (
+    ClosedFamily,
+    drinfeld,
+    enumerate_B,
+    from_values,
+    induced_type,
+    parse_family,
+    subfunction,
+)
 from perdom.weyl import kostant_reps, length
 
 SS = ClosedFamily.semistable()
@@ -163,3 +173,41 @@ def test_shared_meet_table_stays_within_its_bound(monkeypatch):
     size = sum(len(table) for table in meets.values())
     bound = sum(q_binomial(g.d, c, p**n) for c in g.cumulative_dims()[:-1]) * subspace_count(p, g.d)
     assert 0 < size <= bound
+
+
+ORBIT_GRID = (
+    [((2, 1, -3), family, 2, n) for family in ("ss", "ge:1") for n in (1, 2, 3, 4)]
+    + [((1, 1, -2), "ss", 3, n) for n in (1, 2, 3)]
+    + [((1, -1), "ss", 2, n) for n in range(1, 7)]
+    + [((3, 1, -1, -3), "ss", 2, n) for n in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("values,family,p,n", ORBIT_GRID)
+def test_orbit_counts_equal_every_flag_counts(values, family, p, n):
+    g, fam = from_values(values), parse_family(family)
+    assert count_points(g, fam, p, n) == count_points_every_flag(g, fam, p, n)
+
+
+@pytest.mark.parametrize("values,p,n", [((2, 1, -3), 2, 2), ((2, 1, -3), 2, 3), ((1, -1), 2, 6),
+                                        ((1, 1, -2), 3, 2), ((2, -1, -1), 2, 4)])
+def test_flag_orbits_partition_the_flags(values, p, n):
+    # each representative and its Frobenius images cover every flag exactly once
+    g = from_values(values)
+    every = {tuple(m.basis for m in flag.members) for flag in enumerate_flags(g, p, n)}
+    covered = []
+    for flag, size in flag_orbits(g, p, n):
+        key = tuple(m.basis for m in flag.members)
+        orbit = [key]
+        while len(orbit) < n:
+            orbit.append(tuple(flag.field.frobenius(b) for b in orbit[-1]))
+        assert n % size == 0 and len(set(orbit)) == size
+        assert key == min(orbit)
+        covered += orbit[:size]
+    assert len(covered) == len(every) == flag_count(g, p, n)
+    assert set(covered) == every
+
+
+def test_base_field_orbits_are_single_flags():
+    g = from_values([3, 1, -1, -3])
+    assert [size for _, size in flag_orbits(g, 2, 1)] == [1] * flag_count(g, 2, 1)

@@ -168,3 +168,29 @@ def test_row_operations_without_tables(p, n):
         if a:
             assert f.inv(a) == f.pow(a, f.order - 2)
             assert f.mul(a, f.inv(a)) == 1
+
+
+FROBENIUS_TABLE_FIELDS = [(2, k) for k in range(1, 10)] + [(3, k) for k in range(1, 6)] + [(5, 2)]
+
+
+@pytest.mark.parametrize("p,n", FROBENIUS_TABLE_FIELDS)
+def test_frobenius_table_is_the_p_th_power(p, n):
+    f = make_field(p, n)
+    els = tuple(range(f.order))
+    (images,) = f.frobenius([els])
+    assert images == tuple(f.pow(a, p) for a in els)
+    power = (els,)
+    for _ in range(n):
+        power = f.frobenius(power)
+    assert power == (els,)  # sigma^n is the identity on GF(p^n)
+
+
+def test_frobenius_memo_is_the_p_th_power_above_the_table_limit():
+    f = make_field(2, 10)
+    els = tuple(random.Random(2010).randrange(f.order) for _ in range(2000))
+    (images,) = f.frobenius([els])
+    assert images == tuple(f._mul_raw(a, a) for a in els)
+    power = (els,)
+    for _ in range(10):
+        power = f.frobenius(power)
+    assert power == (els,)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import from_cycle, kernel_intersection
 from perdom.errors import ConfigError
-from perdom.exactalg.gf import make_field
+from perdom.exactalg.gf import FieldSpec, make_field
 from perdom.exactalg.subspaces import SubspaceGF, rref
 from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
@@ -348,6 +348,53 @@ def test_shared_meet_table_does_not_depend_on_visiting_order(values, p, n):
         fresh = dataclasses.replace(flag, meets={})
         for u in rational_subspaces(p, g.d):
             assert induced_type(flag, u) == induced_type(fresh, u)
+
+
+@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 3), ([1, 1, -1, -1], 2, 2)])
+def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
+    g = from_values(values)
+    flags = list(enumerate_flags(g, p, n))
+    for flag in flags[::7]:
+        for u in rational_subspaces(p, g.d):
+            induced_type(flag, u)
+    meets, field = flags[0].meets, flags[0].field
+    for basis, table in meets.items():
+        assert meets[field.frobenius(basis)] is table
+        member = SubspaceGF(field, g.d, basis)
+        for u_basis, dim in table.items():
+            u = SubspaceGF(make_field(p, 1), g.d, u_basis)
+            assert kernel_intersection(u.extend_scalars(field), member).dim == dim
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subspaces_over_the_flag_field_bypass_the_shared_table(n):
+    # a flag member W over GF(2^n) is not fixed by the Frobenius, so W and
+    # sigma(W) may meet differently; a mix of rational and GF(2^n) queries on
+    # shared tables must still agree with per-member kernel intersections
+    g = from_values([2, 1, -3])
+    flags = list(enumerate_flags(g, 2, n))
+    assert flags[0].meets is flags[-1].meets
+    subs = rational_subspaces(2, g.d)
+    for flag in flags:
+        for u in (*flag.members[:-1], *subs):
+            assert induced_type(flag, u) == induced_type_per_member(flag, u)
+    for flag in reversed(flags):
+        for other in flags[:: len(flags) // 5]:
+            for u in other.members[:-1]:
+                assert induced_type(flag, u) == induced_type_per_member(flag, u)
+
+
+def test_rational_subspaces_skip_the_field_check(monkeypatch):
+    flag = next(iter(enumerate_flags(from_values([3, 1, -1, -3]), 2, 2)))
+    subs = rational_subspaces(2, 4)
+    for u in subs:
+        induced_type(flag, u)  # fills the meet table
+    calls = []
+    original = FieldSpec.is_extension_of
+    monkeypatch.setattr(FieldSpec, "is_extension_of", lambda *a: calls.append(a) or original(*a))
+    for u in subs:
+        induced_type(flag, u)
+    assert calls == []
 
 
 def test_foreign_field_subspace_is_rejected_after_a_table_hit():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -187,3 +188,25 @@ def test_chain_enumeration_counts(q, dims, parts):
         assert tuple(m.dim for m in chain) == dims
         for a, b in zip(chain, chain[1:]):
             assert a.is_subspace_of(b)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 4), (2, 2, 3)])
+def test_chain_members_are_canonical_as_built(p, n, d):
+    # members are products of reduced echelon matrices, not re-echeloned
+    f = make_field(p, n)
+    for r in range(1, d):
+        for dims in combinations(range(1, d), r):
+            for chain in enumerate_chains(f, d, dims):
+                for member in chain:
+                    assert member == SubspaceGF.from_rows(f, d, member.basis)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2)])
+def test_frobenius_image_of_a_subspace_is_canonical(p, n, d):
+    f = make_field(p, n)
+    for k in range(d + 1):
+        subspaces = enumerate_subspaces(f, d, k)
+        images = [SubspaceGF(f, d, f.frobenius(w.basis)) for w in subspaces]
+        for image in images:
+            assert image == SubspaceGF.from_rows(f, d, image.basis)
+        assert sorted(images, key=SubspaceGF.sort_key) == list(subspaces)

@@ -25,9 +25,9 @@ from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
-from .exactalg.subspaces import SubspaceGF, enumerate_chains
-from .flagenum import enumerate_flags, flag_orbits, rational_subspaces
-from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_type
+from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_positions, rational_subspaces
+from .flagenum import enumerate_flags, flag_orbits
+from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_type, scaled_degrees
 from .weyl import ParabolicType
 
 PartialFlag = tuple[SubspaceGF, ...]
@@ -183,30 +183,34 @@ Vertices = tuple[SubspaceGF, ...]
 
 def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> Vertices:
     """Rational subspaces whose induced type at the flag lies in the family,
-    in `rational_subspaces` order (by dimension, then basis)."""
+    in `rational_subspaces` order (by dimension, then basis).  Membership
+    depends only on the degree, so one integer degree vector per flag
+    (`scaled_degrees`) is compared with the family's scaled threshold."""
     subs = rational_subspaces(flag.field.p, flag.slope.d)
-    return tuple(u for u in subs if family.contains(induced_type(flag, u)))
+    least = family.least_scaled_degree(flag.slope.scale)
+    return tuple(u for u, degree in zip(subs, scaled_degrees(flag)) if degree >= least)
 
 
 @lru_cache(maxsize=None)
 def _containment(p: int, d: int):
-    """Position of each rational subspace of GF(p)^d, and for each position
-    the positions of the rational subspaces properly containing it, ascending.
-    Positions follow `rational_subspaces`, which is sorted like stalk vertices."""
+    """For each position in `rational_subspaces(p, d)`, which is sorted like
+    stalk vertices, the positions of the rational subspaces properly
+    containing that one, ascending."""
     subs = rational_subspaces(p, d)
-    above = tuple(
+    return tuple(
         tuple(j for j, v in enumerate(subs) if u.dim < v.dim and u.is_subspace_of(v))
         for u in subs
     )
-    return {u: i for i, u in enumerate(subs)}, above
 
 
 def _stalk_above(verts: Vertices) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the indices of the vertices properly containing it,
     ascending: the poset relation relabelled to positions in verts."""
-    position, contained_in = _containment(verts[0].field.p, verts[0].ambient_dim)
-    local = {position[v]: i for i, v in enumerate(verts)}
-    return tuple(tuple(local[j] for j in contained_in[position[v]] if j in local) for v in verts)
+    p, d = verts[0].field.p, verts[0].ambient_dim
+    position, contained_in = rational_positions(p, d), _containment(p, d)
+    at = [position[v.basis] for v in verts]
+    local = {j: i for i, j in enumerate(at)}
+    return tuple(tuple(local[j] for j in contained_in[k] if j in local) for k in at)
 
 
 def _stalk_chains(above) -> list[list[tuple[int, ...]]]:
@@ -252,24 +256,33 @@ class QuillenWitness:
     pairs: tuple[tuple[SubspaceGF, SubspaceGF], ...]
 
 
+@lru_cache(maxsize=None)
+def _join(u: SubspaceGF, u0: SubspaceGF) -> tuple[SubspaceGF, bool]:
+    """(U + U0, whether U and U0 both lie in it), computed once per rational
+    pair however many flags' stalks contain it."""
+    image = u.sum_with(u0)
+    return image, u.is_subspace_of(image) and u0.is_subspace_of(image)
+
+
 def quillen_witness(verts: Vertices, flag: FilteredSpace, family: ClosedFamily) -> QuillenWitness:
     """Pick a minimal vertex U0 and check U -> U + U0 maps the poset into
-    itself, which by the contraction criterion collapses the order complex."""
+    itself, which by the contraction criterion collapses the order complex.
+    The join and its containments depend only on the pair (`_join`); the
+    image's type and its membership in verts are checked at this flag."""
     if not verts:
         raise ConfigError("no witness for an empty poset")
     vert_set = set(verts)
     u0 = verts[0]  # sorted by (dim, basis): no other vertex lies inside it
     pairs = []
     for u in verts:
-        image = u.sum_with(u0)
+        image, contains_both = _join(u, u0)
         # membership of the image is decided by the threshold family itself;
         # for a fully enumerated poset this agrees with `image in vert_set`
         ok = (
             image.dim < image.ambient_dim
             and family.contains(induced_type(flag, image))
             and image in vert_set
-            and u.is_subspace_of(image)
-            and u0.is_subspace_of(image)
+            and contains_both
         )
         if not ok:
             return QuillenWitness(False, u0, tuple(pairs))

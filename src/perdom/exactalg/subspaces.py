@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from ..errors import ConfigError
-from .gf import FieldSpec
+from .gf import FieldSpec, make_field
 from .qcount import q_binomial
 
 
@@ -168,6 +168,23 @@ def enumerate_subspaces(field: FieldSpec, d: int, dim: int) -> tuple[SubspaceGF,
     )
     assert len(out) == q_binomial(d, dim, field.order)
     return out
+
+
+@lru_cache(maxsize=None)
+def rational_subspaces(p: int, d: int) -> tuple[SubspaceGF, ...]:
+    """All proper nonzero subspaces of GF(p)^d, canonically ordered."""
+    field = make_field(p, 1)
+    out: list[SubspaceGF] = []
+    for dim in range(1, d):
+        out.extend(enumerate_subspaces(field, d, dim))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def rational_positions(p: int, d: int) -> dict:
+    """The position of each proper nonzero subspace of GF(p)^d in
+    `rational_subspaces(p, d)`, keyed by its basis."""
+    return {u.basis: i for i, u in enumerate(rational_subspaces(p, d))}
 
 
 def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims):

@@ -11,11 +11,10 @@ callers compare that price against their work budget first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exactalg.gf import check_field, make_field
 from .exactalg.qcount import capped, q_binomial, q_multinomial
-from .exactalg.subspaces import SubspaceGF, enumerate_chains, enumerate_subspaces
+from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_subspaces
 from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
 
 
@@ -24,16 +23,6 @@ class CountReport:
     total: int
     in_y: int
     in_open: int
-
-
-@lru_cache(maxsize=None)
-def rational_subspaces(p: int, d: int) -> tuple[SubspaceGF, ...]:
-    """All proper nonzero subspaces of GF(p)^d, canonically ordered."""
-    field = make_field(p, 1)
-    out: list[SubspaceGF] = []
-    for dim in range(1, d):
-        out.extend(enumerate_subspaces(field, d, dim))
-    return tuple(out)
 
 
 def flag_count(g: SlopeFunction, p: int, n: int, cap=None):
@@ -71,12 +60,26 @@ def flag_orbits(g: SlopeFunction, p: int, n: int):
     flags of type g over GF(p^n): the flag whose tuple of proper-member bases
     is least among its images under x -> x^p.  The Frobenius fixes every
     rational subspace, so dim(U meet F_j) is the same for all flags of an
-    orbit and so is every verdict built from it.  At n = 1 it is the identity:
-    every flag, size 1."""
+    orbit and so is every verdict built from it.  Each member basis's images
+    are computed once per call, on its first flag.  At n = 1 it is the
+    identity: every flag, size 1."""
+    field = make_field(p, n)
+    orbits: dict = {}  # member basis -> (basis, sigma(basis), ..., sigma^(n-1)(basis))
+
+    def orbit(basis):
+        out = orbits.get(basis)
+        if out is None:
+            out = [basis]
+            for _ in range(n - 1):
+                out.append(field.frobenius(out[-1]))
+            out = orbits[basis] = tuple(out)
+        return out
+
     for flag in enumerate_flags(g, p, n):
-        key = image = tuple(m.basis for m in flag.members[:-1])
+        columns = [orbit(m.basis) for m in flag.members[:-1]]
+        key = tuple(column[0] for column in columns)
         for size in range(1, n + 1):  # the n-th image is the flag itself
-            image = tuple(map(flag.field.frobenius, image))
+            image = tuple(column[size % n] for column in columns)
             if image <= key:
                 break
         if image == key:

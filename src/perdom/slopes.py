@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
+from math import ceil, floor, lcm
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import FieldSpec, make_field
-from .exactalg.subspaces import SubspaceGF
+from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
 from .weyl import (
     Perm,
     ParabolicType,
@@ -70,6 +71,18 @@ class SlopeFunction:
                 values.extend([value] * mult)
             h = self._types[graded] = subfunction(values)
         return h
+
+    @cached_property
+    def scale(self) -> int:
+        """The least common denominator of the values."""
+        return lcm(*(x.denominator for x, _ in self.pairs))
+
+    @cached_property
+    def jump_weights(self) -> tuple[int, ...]:
+        """scale * (v_j - v_{j+1}) for each value but the last, then
+        scale * v_r: the weights of dim(U meet F_j) in scale * deg U."""
+        values = [x * self.scale for x, _ in self.pairs]
+        return (*(int(a - b) for a, b in zip(values, values[1:])), int(values[-1]))
 
     def cumulative_dims(self) -> tuple[int, ...]:
         out = []
@@ -202,6 +215,11 @@ class ClosedFamily:
         lhs, rhs = degree.numerator * t.denominator, t.numerator * degree.denominator
         return lhs > rhs if self.strict else lhs >= rhs
 
+    def least_scaled_degree(self, scale: int) -> int:
+        """The least integer m with m / scale in the family."""
+        bound = self.threshold * scale
+        return floor(bound) + 1 if self.strict else ceil(bound)
+
     def contains(self, h: Subfunction) -> bool:
         return self.contains_degree(h.degree)
 
@@ -296,6 +314,8 @@ def delta_w(w: Perm, mu, family: ClosedFamily) -> tuple[int, ...]:
 
 # -- filtered spaces ----------------------------------------------------------
 
+UNKNOWN = 255  # a meet-row entry not computed yet; a dim never reaches it
+
 
 @dataclass(frozen=True)
 class FilteredSpace:
@@ -303,9 +323,14 @@ class FilteredSpace:
 
     members[j] realizes the filtration step at the j-th largest slope value;
     dims grow by the multiplicities, and the last member is the full space.
-    meets maps a member's basis to {rational basis: dim(U (x) k meet member)};
-    flags from one enumeration may share it, since the dim depends only on
-    the pair.
+    meets maps a member's basis to its meet row, a bytearray whose entry at
+    the position of U in `rational_subspaces(p, d)` is dim(U (x) k meet
+    member), or UNKNOWN.  Flags from one enumeration may share meets, since
+    the dim depends only on the pair.  A rational U is fixed by the
+    Frobenius x -> x^p, so dim(U meet W) = dim(U meet sigma(W)): where flags
+    share meets (two or more proper members), a member's Frobenius images
+    share its row, and at n = 1, where every member is itself rational, one
+    intersection fills dim(U meet W) in W's row and in U's.
     """
 
     field: FieldSpec
@@ -313,49 +338,82 @@ class FilteredSpace:
     members: tuple[SubspaceGF, ...]
     meets: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
+    @cached_property
+    def rational(self) -> tuple[FieldSpec, dict]:
+        """The prime field, and `rational_positions` of its d-space."""
+        p = self.field.p
+        return make_field(p, 1), rational_positions(p, self.members[-1].ambient_dim)
 
-def _new_meet_table(flag: FilteredSpace, meets: dict, basis) -> dict:
-    """An empty meet table for a member basis, filed in meets.  A rational U
-    is fixed by the Frobenius x -> x^p, so dim(U meet W) = dim(U meet
-    sigma(W)); where flags share the table (two or more proper members) and
-    n > 1, the member's Frobenius images get the same dict, so each (member
-    orbit, U) pair is intersected once."""
-    table = meets[basis] = {}
-    field = flag.field
-    if len(flag.members) > 2:
-        image = basis
-        for _ in range(field.n - 1):  # the n-th image is the member itself
-            image = field.frobenius(image)
-            meets[image] = table
-    return table
+    @cached_property
+    def rows(self) -> tuple[bytearray, ...]:
+        """The meet rows of the proper members, resolved once per flag."""
+        return tuple(_meet_row(self, m.basis) for m in self.members[:-1])
+
+    @cached_property
+    def mirrors(self):
+        """At n = 1 in shared meets: (member dims, the position of each proper
+        member); otherwise None."""
+        if self.field.n > 1 or len(self.members) <= 2:
+            return None
+        position = self.rational[1]
+        proper = self.members[:-1]
+        return {m.dim for m in proper}, tuple(position[m.basis] for m in proper)
+
+
+def _meet_row(flag: FilteredSpace, basis) -> bytearray:
+    """The meet row filed under a member basis, made on first use; in shared
+    meets at n > 1 it is filed under the member's Frobenius images too."""
+    row = flag.meets.get(basis)
+    if row is None:
+        field = flag.field
+        row = flag.meets[basis] = bytearray([UNKNOWN]) * len(flag.rational[1])
+        if len(flag.members) > 2:
+            image = basis
+            for _ in range(field.n - 1):  # the n-th image is the member itself
+                image = field.frobenius(image)
+                flag.meets[image] = row
+    return row
+
+
+def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
+    """Record dim(U meet members[j]) for the rational U at position i, and
+    the same dim in U's own row where U can be a member (see `mirrors`)."""
+    flag.rows[j][i] = meet
+    mirrors = flag.mirrors
+    if mirrors is not None and u.dim in mirrors[0]:
+        _meet_row(flag, u.basis)[mirrors[1][j]] = meet
 
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
-    Walks from the top down, reading each dim(U meet F_j) from flag.meets or
-    computing it by one intersection, and stops at the first zero meet; the
-    last member is the full space.  Only a rational U reads or fills
-    flag.meets: a member's table also serves its Frobenius images, and the
-    Frobenius fixes U only when U is rational."""
+    Walks from the top down and stops at the first zero meet; the last
+    member is the full space.  A proper rational U reads each dim(U (x) k
+    meet F_j) from the flag's meet rows at its position, filling a miss by
+    one intersection and every member below a zero meet with 0, so all of
+    the rows are filled there afterwards; any other U (the whole space, a
+    subspace over the flag's field) is intersected directly."""
     field = flag.field
-    rational = u.field is make_field(field.p, 1) or field.is_extension_of(u.field)
-    meets = flag.meets
-    if not rational:
-        u, meets = u.extend_scalars(field), {}  # raises ConfigError for a foreign field
+    prime, positions = flag.rational
+    i = None
+    if u.field is prime or field.is_extension_of(u.field):
+        i = positions.get(u.basis)
+    rows = None if i is None else flag.rows
     out = [0] * len(flag.members)
     dim, j = u.dim, len(out) - 1
     while j and dim:
-        member = flag.members[j - 1]
-        table = meets.get(member.basis)
-        meet = None if table is None else table.get(u.basis)
-        if meet is None:
-            meet = u.extend_scalars(field).intersect(member).dim
-            if table is None:
-                table = _new_meet_table(flag, meets, member.basis)
-            table[u.basis] = meet
+        meet = UNKNOWN if rows is None else rows[j - 1][i]
+        if meet == UNKNOWN:
+            # raises ConfigError for a foreign field or ambient
+            meet = u.extend_scalars(field).intersect(flag.members[j - 1]).dim
+            if rows is not None:
+                _store(flag, j - 1, u, i, meet)
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim
+    if rows is not None and not dim:
+        for k in range(j):  # the members below the zero meet
+            if rows[k][i] == UNKNOWN:
+                _store(flag, k, u, i, 0)
     return tuple(out)
 
 
@@ -369,3 +427,28 @@ def induced_type(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
 def induced_degree(flag: FilteredSpace, u: SubspaceGF) -> Fraction:
     """Degree of the induced type."""
     return flag.slope.type_of(_graded_dims(flag, u)).degree
+
+
+@lru_cache(maxsize=None)
+def _rational_dims(p: int, d: int) -> bytes:
+    """The dim of each rational subspace, in `rational_subspaces` order."""
+    return bytes(u.dim for u in rational_subspaces(p, d))
+
+
+def scaled_degrees(flag: FilteredSpace) -> list[int]:
+    """slope.scale times the induced degree of every rational subspace, in
+    `rational_subspaces` order, read from the flag's meet rows by Abel
+    summation: deg U = sum_j (v_j - v_{j+1}) dim(U meet F_j) + v_r dim U."""
+    p, d = flag.field.p, flag.members[-1].ambient_dim
+    subs = rational_subspaces(p, d)
+    rows = flag.rows
+    for row in rows:
+        i = row.find(UNKNOWN)
+        while i >= 0:
+            _graded_dims(flag, subs[i])  # fills column i
+            i = row.find(UNKNOWN, i + 1)
+    *weights, top = flag.slope.jump_weights
+    out = [top * dim for dim in _rational_dims(p, d)]
+    for weight, row in zip(weights, rows):
+        out = [deg + weight * meet for deg, meet in zip(out, row)]
+    return out

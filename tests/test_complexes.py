@@ -1,14 +1,26 @@
 import ast
+import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oracles import rank_mod_prime, stalk_counts_every_flag
+from oracles import kernel_intersection, rank_mod_prime, stalk_counts_every_flag
 from perdom import cohomology as coh
 from perdom import complexes as cx
+from perdom import flagenum
 from perdom.errors import ConfigError, InternalCheckError
+from perdom.exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
 from perdom.flagenum import enumerate_flags
-from perdom.slopes import ClosedFamily, from_values, parse_family
+from perdom.slopes import (
+    UNKNOWN,
+    ClosedFamily,
+    drinfeld,
+    from_values,
+    induced_degree,
+    induced_type,
+    parse_family,
+)
 from perdom.weyl import ParabolicType, length, parabolic_types
 
 SS = ClosedFamily.semistable()
@@ -211,6 +223,109 @@ def test_stalks_of_one_type_share_few_containment_relations():
     cx._order_complex_homology.cache_clear()
     assert cx.stalk_counts(from_values([3, 1, -1, -3]), SS, 2, 1) == (315, 315, 0)
     assert 0 < cx._order_complex_homology.cache_info().currsize <= 27
+
+
+STALK_GRID = (
+    [((3, 1, -1, -3), "ss", 2, 1)]
+    + [((2, 1, -3), family, 2, n) for family in ("ss", "ge:1") for n in (1, 2, 3)]
+    + [((1, 1, -2), "ss", 3, n) for n in (1, 2)]
+    + [((Fraction(3, 2), Fraction(1, 2), -2), "ge:1/3", 3, n) for n in (1, 2)]
+    # a degree on the threshold, and one between it and the next integer below
+    + [((Fraction(3, 2), Fraction(1, 2), -2), family, 3, 1) for family in ("ge:1/2", "ge:-1/3")]
+)
+
+
+@pytest.mark.parametrize("values,family,p,n", STALK_GRID)
+def test_stalk_degree_vectors_equal_per_subspace_types(values, family, p, n):
+    # the integer degree vector against the scaled threshold, on a fresh and on
+    # a shared meet table, picks the vertices the induced types pick
+    g, family = from_values(values), parse_family(family)
+    subs = rational_subspaces(p, g.d)
+    for flag in enumerate_flags(g, p, n):
+        fresh = dataclasses.replace(flag, meets={})
+        expected = tuple(u for u in subs if family.contains(induced_type(flag, u)))
+        assert cx.build_stalk(fresh, family) == expected
+        assert cx.build_stalk(flag, family) == expected
+
+
+def test_rational_subspace_of_another_ambient_is_refused():
+    flag = next(iter(enumerate_flags(from_values([3, 1, -1, -3]), 2, 1)))
+    cx.build_stalk(flag, SS)  # fills the meet rows
+    for d in (3, 5):
+        u = rational_subspaces(2, d)[0]
+        with pytest.raises(ConfigError):
+            induced_type(flag, u)
+        with pytest.raises(ConfigError):
+            induced_degree(flag, u)
+
+
+def recorded_flags(monkeypatch) -> list:
+    """Every flag the enumeration yields from now on, in order."""
+    flags = []
+    enumerate_all = flagenum.enumerate_flags
+
+    def recording(*args):
+        for flag in enumerate_all(*args):
+            flags.append(flag)
+            yield flag
+
+    monkeypatch.setattr(flagenum, "enumerate_flags", recording)
+    return flags
+
+
+def test_stalk_pass_intersects_and_joins_each_rational_pair_once(monkeypatch):
+    g, p = from_values([3, 1, -1, -3]), 2
+    flags = recorded_flags(monkeypatch)
+    calls = {"intersect": 0, "sum_with": 0}
+    for name in calls:
+        def counted(self, other, name=name, original=getattr(SubspaceGF, name)):
+            calls[name] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(SubspaceGF, name, counted)
+    cx._join.cache_clear()
+    assert cx.stalk_counts(g, SS, p, 1) == (315, 315, 0)
+    subs = rational_subspaces(p, g.d)
+    assert 0 < calls["intersect"] <= len(subs) * (len(subs) + 1) // 2 == 2145
+    assert 0 < calls["sum_with"] <= 351
+    # at n = 1 every rational subspace is a member, and one intersection
+    # fills dim(U meet W) in both rows
+    meets, position = flags[0].meets, rational_positions(p, g.d)
+    assert all(flag.meets is meets for flag in flags)
+    assert set(meets) == set(position)
+    for w in subs:
+        for u, dim in zip(subs, meets[w.basis]):
+            assert dim == meets[u.basis][position[w.basis]] == kernel_intersection(u, w).dim
+
+
+@pytest.mark.parametrize("g", [drinfeld(4), from_values([2, 1, 1, -4])])
+def test_meet_rows_are_filed_only_under_members(monkeypatch, g):
+    # drinfeld(4) has one proper member, so each flag keeps its own row;
+    # (2,1,1,-4) shares its rows, and no plane of GF(2)^4 is ever a member
+    flags = recorded_flags(monkeypatch)
+    total, in_y, failed = cx.stalk_counts(g, SS, 2, 1)
+    assert total == len(flags) and in_y and not failed
+    members = {m.basis for flag in flags for m in flag.members[:-1]}
+    for flag in flags:
+        assert flag.meets and set(flag.meets) <= members
+        assert all(UNKNOWN not in row for row in flag.rows)
+
+
+def test_join_cache_keeps_the_vertex_check():
+    # drop U + U0 from a stalk: the witness must fail whether or not the
+    # join of (U, U0) is already cached
+    for flag in enumerate_flags(from_values([3, 1, -1, -3]), 2, 1):
+        verts = cx.build_stalk(flag, SS)
+        images = [u.sum_with(verts[0]) for u in verts]
+        dropped = next((im for u, im in zip(verts, images) if im not in (u, verts[0])), None)
+        if dropped is not None:
+            break
+    fewer = tuple(v for v in verts if v != dropped)
+    assert len(fewer) >= 2
+    cx._join.cache_clear()
+    assert not cx.quillen_witness(fewer, flag, SS).ok
+    assert cx.quillen_witness(verts, flag, SS).ok  # caches the join of every pair
+    assert not cx.quillen_witness(fewer, flag, SS).ok
 
 
 # -- closed-stratum counting -------------------------------------------------------

@@ -241,9 +241,6 @@ class FieldSpec:
                         frob[x] = self.pow(x, self.p)
         return tuple(tuple(frob[x] for x in row) for row in basis)
 
-    def is_extension_of(self, other: "FieldSpec") -> bool:
-        return other.p == self.p and other.n == 1
-
 
 def check_field(p: int, n: int):
     """Raise ConfigError for p that require_prime refuses, n < 1, or order above

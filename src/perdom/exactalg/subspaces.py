@@ -118,18 +118,6 @@ class SubspaceGF:
         basis = tuple(row[d:] for row, c in zip(red, pivots) if c >= d)
         return SubspaceGF(field, d, basis)
 
-    def extend_scalars(self, target: FieldSpec) -> "SubspaceGF":
-        """Reinterpret the echelon basis over an extension of the prime field."""
-        if not target.is_extension_of(self.field):
-            if target == self.field:
-                return self
-            raise ConfigError(
-                f"{target!r} is not an extension of {self.field!r} supported here"
-            )
-        # prime-field elements are the constants 0..p-1 in the extension,
-        # and a reduced echelon basis stays reduced echelon under relabelling
-        return SubspaceGF(target, self.ambient_dim, self.basis)
-
     def sort_key(self):
         return (self.dim, self.basis)
 

@@ -10,6 +10,7 @@ callers compare that price against their work budget first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactalg.gf import check_field, make_field
@@ -36,23 +37,25 @@ def classification_tests(g: SlopeFunction, p: int, n: int, cap=None):
     """Flag/subspace tests needed to classify every flag of type g over
     GF(p^n) against every rational subspace, counted without enumerating:
     flag_count times len(rational_subspaces(p, g.d)), or math.inf once it
-    passes cap."""
-    subspaces = sum(q_binomial(g.d, k, p, cap) for k in range(1, g.d))
-    return capped(flag_count(g, p, n, cap) * subspaces, cap)
+    or a partial sum of the subspace count passes cap."""
+    flags = flag_count(g, p, n, cap)
+    subspaces = 0
+    for k in range(1, g.d):
+        subspaces = capped(subspaces + q_binomial(g.d, k, p, cap), cap)
+        if subspaces == math.inf:
+            return subspaces
+    return capped(flags * subspaces, cap)
 
 
 def enumerate_flags(g: SlopeFunction, p: int, n: int):
-    """Yield every flag of type g over GF(p^n) exactly once.
-
-    A proper member recurs across flags only when the type has two or more
-    proper members; then all flags share one table of meet dims, otherwise
-    each flag gets its own."""
+    """Yield every flag of type g over GF(p^n) exactly once; all of them
+    share one table of meet dims."""
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
-    shared = {} if len(proper_dims) >= 2 else None
+    meets: dict = {}
     for chain in enumerate_chains(field, g.d, proper_dims):
-        yield FilteredSpace(field, g, chain + (full,), {} if shared is None else shared)
+        yield FilteredSpace(field, g, chain + (full,), meets)
 
 
 def flag_orbits(g: SlopeFunction, p: int, n: int):

@@ -21,7 +21,7 @@ from itertools import accumulate, combinations
 from math import ceil, floor, lcm
 
 from .errors import ConfigError, InternalCheckError
-from .exactalg.gf import FieldSpec, make_field
+from .exactalg.gf import FieldSpec
 from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
 from .weyl import (
     Perm,
@@ -152,9 +152,13 @@ def random_slope_function(rng, d: int) -> SlopeFunction:
 
 
 def parse_g_config(data) -> SlopeFunction:
-    """Config form: list of [numerator, denominator, multiplicity]."""
+    """Config form: list of [numerator, denominator, multiplicity], each a
+    JSON integer (not a float, string or boolean)."""
     try:
-        pairs = tuple((Fraction(int(n), int(den)), int(m)) for n, den, m in data)
+        # json.load reads 1.0 as a float; bool is a subclass of int
+        if any(type(x) is not int for entry in data for x in entry):
+            raise TypeError("entries must be JSON integers")
+        pairs = tuple((Fraction(n, den), m) for n, den, m in data)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed slope config: {exc}") from exc
     return validate(pairs)
@@ -325,12 +329,12 @@ class FilteredSpace:
     dims grow by the multiplicities, and the last member is the full space.
     meets maps a member's basis to its meet row, a bytearray whose entry at
     the position of U in `rational_subspaces(p, d)` is dim(U (x) k meet
-    member), or UNKNOWN.  Flags from one enumeration may share meets, since
+    member), or UNKNOWN.  All flags of one enumeration share meets, since
     the dim depends only on the pair.  A rational U is fixed by the
-    Frobenius x -> x^p, so dim(U meet W) = dim(U meet sigma(W)): where flags
-    share meets (two or more proper members), a member's Frobenius images
-    share its row, and at n = 1, where every member is itself rational, one
-    intersection fills dim(U meet W) in W's row and in U's.
+    Frobenius x -> x^p, so dim(U meet W) = dim(U meet sigma(W)): a member's
+    Frobenius images share its row, and at n = 1, where every member is
+    itself rational, one intersection fills dim(U meet W) in W's row and in
+    U's.
     """
 
     field: FieldSpec
@@ -339,10 +343,9 @@ class FilteredSpace:
     meets: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
-    def rational(self) -> tuple[FieldSpec, dict]:
-        """The prime field, and `rational_positions` of its d-space."""
-        p = self.field.p
-        return make_field(p, 1), rational_positions(p, self.members[-1].ambient_dim)
+    def positions(self) -> dict:
+        """`rational_positions` of the prime-field d-space."""
+        return rational_positions(self.field.p, self.members[-1].ambient_dim)
 
     @cached_property
     def rows(self) -> tuple[bytearray, ...]:
@@ -351,27 +354,25 @@ class FilteredSpace:
 
     @cached_property
     def mirrors(self):
-        """At n = 1 in shared meets: (member dims, the position of each proper
-        member); otherwise None."""
-        if self.field.n > 1 or len(self.members) <= 2:
+        """At n = 1: (member dims, the position of each proper member);
+        otherwise None."""
+        if self.field.n > 1:
             return None
-        position = self.rational[1]
         proper = self.members[:-1]
-        return {m.dim for m in proper}, tuple(position[m.basis] for m in proper)
+        return {m.dim for m in proper}, tuple(self.positions[m.basis] for m in proper)
 
 
 def _meet_row(flag: FilteredSpace, basis) -> bytearray:
-    """The meet row filed under a member basis, made on first use; in shared
-    meets at n > 1 it is filed under the member's Frobenius images too."""
+    """The meet row filed under a member basis and its Frobenius images,
+    made on first use."""
     row = flag.meets.get(basis)
     if row is None:
         field = flag.field
-        row = flag.meets[basis] = bytearray([UNKNOWN]) * len(flag.rational[1])
-        if len(flag.members) > 2:
-            image = basis
-            for _ in range(field.n - 1):  # the n-th image is the member itself
-                image = field.frobenius(image)
-                flag.meets[image] = row
+        row = flag.meets[basis] = bytearray([UNKNOWN]) * len(flag.positions)
+        image = basis
+        for _ in range(field.n - 1):  # the n-th image is the member itself
+            image = field.frobenius(image)
+            flag.meets[image] = row
     return row
 
 
@@ -386,31 +387,32 @@ def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
-    Walks from the top down and stops at the first zero meet; the last
-    member is the full space.  A proper rational U reads each dim(U (x) k
-    meet F_j) from the flag's meet rows at its position, filling a miss by
-    one intersection and every member below a zero meet with 0, so all of
-    the rows are filled there afterwards; any other U (the whole space, a
-    subspace over the flag's field) is intersected directly."""
-    field = flag.field
-    prime, positions = flag.rational
-    i = None
-    if u.field is prime or field.is_extension_of(u.field):
-        i = positions.get(u.basis)
-    rows = None if i is None else flag.rows
+    U must be a nonzero subspace of GF(p)^d, given over GF(p); anything else
+    raises ConfigError.  The whole space has the multiplicities of g.  A
+    proper U walks the members from the top down, stops at the first zero
+    meet, and reads each dim(U (x) k meet F_j) from the meet rows at its
+    position, filling a miss by one intersection and every member below a
+    zero meet with 0, so all of the rows are filled there afterwards."""
+    field, d = flag.field, flag.members[-1].ambient_dim
+    rational = (u.field.p, u.field.n, u.ambient_dim) == (field.p, 1, d)
+    if rational and u.dim == d:
+        return flag.slope.mults
+    i = flag.positions.get(u.basis) if rational else None
+    if i is None:
+        raise ConfigError(f"induced type needs a nonzero subspace of GF({field.p})^{d}")
+    rows = flag.rows
     out = [0] * len(flag.members)
     dim, j = u.dim, len(out) - 1
     while j and dim:
-        meet = UNKNOWN if rows is None else rows[j - 1][i]
+        meet = rows[j - 1][i]
         if meet == UNKNOWN:
-            # raises ConfigError for a foreign field or ambient
-            meet = u.extend_scalars(field).intersect(flag.members[j - 1]).dim
-            if rows is not None:
-                _store(flag, j - 1, u, i, meet)
+            # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
+            meet = SubspaceGF(field, d, u.basis).intersect(flag.members[j - 1]).dim
+            _store(flag, j - 1, u, i, meet)
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim
-    if rows is not None and not dim:
+    if not dim:
         for k in range(j):  # the members below the zero meet
             if rows[k][i] == UNKNOWN:
                 _store(flag, k, u, i, 0)
@@ -418,9 +420,7 @@ def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
 
 
 def induced_type(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
-    """Jump multiset a prime-field subspace inherits from the flag."""
-    if u.dim < 1:
-        raise ConfigError("induced type needs a nonzero subspace")
+    """Jump multiset a nonzero prime-field subspace inherits from the flag."""
     return flag.slope.type_of(_graded_dims(flag, u))
 
 

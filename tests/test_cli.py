@@ -134,6 +134,8 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         ("zeta", "--drinfeld", "1000", "--q", "2"),
         ("table", "--drinfeld", "100000", "--q", "2"),
         ("table", "--g", "1,-1", "--q", "2", "--n", "1..99999999"),
+        ("zeta", "--drinfeld", "100000000", "--q", "2"),
+        ("stalk", "--drinfeld", "100000000", "--q", "2"),
     ],
     ids=[
         "table-13-distinct-values",
@@ -154,6 +156,8 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         "zeta-drinfeld-1000",
         "table-drinfeld-100000",
         "table-n-range-priced-unexpanded",
+        "zeta-drinfeld-1e8",
+        "stalk-drinfeld-1e8",
     ],
 )
 def test_table_and_dims_exit_four_before_enumerating(argv):
@@ -292,6 +296,7 @@ def test_bad_n_ranges_exit_two(capsys):
     [
         ("table", "--g", "@{tmp}/missing.json", "--q", "2"),
         ("table", "--g", "@{tmp}/not.json", "--q", "2"),
+        ("zeta", "--g", "@{tmp}/float.json", "--q", "2"),
         ("kcomplex", "--d", "3", "--q", "2", "--i0", "a"),
         ("stalk", "--g", "2,1,-3", "--q", "1"),
         ("dims", "--d", "0", "--q", "2"),
@@ -320,6 +325,7 @@ def test_bad_n_ranges_exit_two(capsys):
     ids=[
         "missing-config",
         "non-json-config",
+        "float-config",
         "non-integer-i0",
         "stalk-q-one",
         "dims-d-zero",
@@ -348,6 +354,7 @@ def test_bad_n_ranges_exit_two(capsys):
 )
 def test_bad_inputs_exit_two(argv, tmp_path):
     (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")
+    (tmp_path / "float.json").write_text("[[1.5, 1, 1], [-1.5, 1, 1]]")
     code, _, err = run_bounded([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err

@@ -1,12 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import count_points_every_flag
+from perdom import cohomology as coh
 from perdom import flagenum
+from perdom.complexes import stalk_counts
 from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
 from perdom.flagenum import (
     classification_tests,
@@ -24,6 +27,7 @@ from perdom.slopes import (
     from_values,
     induced_type,
     parse_family,
+    random_slope_function,
     subfunction,
 )
 from perdom.weyl import kostant_reps, length
@@ -174,6 +178,26 @@ def test_shared_meet_table_stays_within_its_bound(monkeypatch):
     size = sum(dim != UNKNOWN for row in meets.values() for dim in row)
     bound = sum(q_binomial(g.d, c, p**n) for c in g.cumulative_dims()[:-1]) * subspace_count(p, g.d)
     assert 0 < size <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.sampled_from((2, 3)),
+    st.integers(1, 2),
+    st.one_of(st.just("ss"), st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=4)),
+)
+def test_counts_and_stalks_equal_the_predictions(seed, d, q, n, threshold):
+    # brute-force counts and stalk passes against the formula engine's traces,
+    # for random slope functions and families inside ss, under a small price
+    g = random_slope_function(random.Random(seed), d)
+    assume(classification_tests(g, q, n) <= 20_000)
+    family = parse_family(threshold if threshold == "ss" else f"ge:{threshold}")
+    p_open, p_closed, cells = coh.predicted_counts(g, family, q, n)
+    report = count_points(g, family, q, n)
+    assert (report.in_open, report.in_y, report.total) == (p_open, p_closed, cells)
+    assert stalk_counts(g, family, q, n) == (cells, p_closed, 0)
 
 
 ORBIT_GRID = (

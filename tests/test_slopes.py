@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import from_cycle, kernel_intersection
 from perdom.errors import ConfigError
-from perdom.exactalg.gf import FieldSpec, make_field
+from perdom.exactalg.gf import make_field
 from perdom.exactalg.subspaces import SubspaceGF, rref
 from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
@@ -62,8 +62,9 @@ def in_open_stratum(flag: FilteredSpace, family: ClosedFamily, rational_subspace
 
 def induced_type_per_member(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
     """The induced type from dim(U (x) k meet F_j), one kernel-route
-    intersection per proper flag member, independent of the chained route."""
-    uk = u.extend_scalars(flag.field)
+    intersection per proper flag member, independent of the chained route;
+    U (x) k is brought to echelon form over the flag's field afresh."""
+    uk = SubspaceGF.from_rows(flag.field, u.ambient_dim, u.basis)
     dims = [kernel_intersection(uk, member).dim for member in flag.members[:-1]] + [uk.dim]
     values, prev = [], 0
     for value, cur in zip(flag.slope.values, dims):
@@ -115,8 +116,19 @@ def test_drinfeld_shape():
 def test_parse_g_config():
     g = parse_g_config([[3, 2, 2], [-3, 1, 1]])
     assert g.mu == (F(3, 2), F(3, 2), F(-3))
-    with pytest.raises(ConfigError):
-        parse_g_config([[1, 0, 1]])
+    bad = (
+        [[1, 0, 1]],
+        [[1.5, 1, 1], [-1.5, 1, 1]],  # int() would truncate this to g = (1, -1)
+        [[1, 1, 1.0], [-1, 1, 1]],
+        [[True, 1, 1], [-1, 1, 1]],  # a boolean is not an integer here
+        [[1, 1, 1], [-1, True, 1]],
+        [["1", 1, 1], [-1, 1, 1]],
+        [[1, 1], [-1, 1]],
+        3,
+    )
+    for data in bad:
+        with pytest.raises(ConfigError, match="malformed slope config"):
+            parse_g_config(data)
 
 
 def test_subfunction_degree_and_order():
@@ -292,8 +304,8 @@ def test_projective_line_semistability():
 @pytest.mark.parametrize("values,n", [([2, 1, -3], 2), ([1, 1, -1, -1], 1), ([1, -1], 3)])
 def test_whole_space_has_degree_zero_for_every_flag(values, n):
     g = from_values(values)
+    full = SubspaceGF.full(make_field(2, 1), g.d)
     for flag in enumerate_flags(g, 2, n):
-        full = SubspaceGF.full(flag.field, g.d)
         assert induced_type(flag, full).values == g.mu
         assert induced_degree(flag, full) == 0
 
@@ -351,7 +363,11 @@ def test_shared_meet_table_does_not_depend_on_visiting_order(values, p, n):
             assert induced_type(flag, u) == induced_type(fresh, u)
 
 
-@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 3), ([1, 1, -1, -1], 2, 2)])
+@pytest.mark.parametrize(
+    "values,p,n",
+    # (1,1,-2) has one proper member, and its flags share one store all the same
+    [([2, 1, -3], 2, 3), ([1, 1, -1, -1], 2, 2), ([1, 1, -2], 2, 1), ([1, 1, -2], 2, 2)],
+)
 def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
     g = from_values(values)
     flags = list(enumerate_flags(g, p, n))
@@ -359,6 +375,7 @@ def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
         for u in rational_subspaces(p, g.d):
             induced_type(flag, u)
     meets, field = flags[0].meets, flags[0].field
+    assert all(flag.meets is meets for flag in flags)
     subs = rational_subspaces(p, g.d)
     for basis, row in meets.items():
         assert meets[field.frobenius(basis)] is row
@@ -366,39 +383,38 @@ def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
         member = SubspaceGF(field, g.d, basis)
         for u, dim in zip(subs, row):
             if dim != UNKNOWN:
-                assert kernel_intersection(u.extend_scalars(field), member).dim == dim
+                uk = SubspaceGF.from_rows(field, g.d, u.basis)
+                assert kernel_intersection(uk, member).dim == dim
     assert any(dim != UNKNOWN for row in meets.values() for dim in row)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_subspaces_over_the_flag_field_bypass_the_shared_table(n):
-    # a flag member W over GF(2^n) is not fixed by the Frobenius, so W and
-    # sigma(W) may meet differently; a mix of rational and GF(2^n) queries on
-    # shared tables must still agree with per-member kernel intersections
+@pytest.mark.parametrize("filled", [False, True])
+def test_non_rational_subspaces_are_refused(filled):
+    # the kernel takes nonzero subspaces of GF(p)^d over GF(p) only: a flag
+    # member over GF(p^n), a subspace over another prime and one of another
+    # ambient are refused, on a cold store and after it has filled
     g = from_values([2, 1, -3])
-    flags = list(enumerate_flags(g, 2, n))
-    assert flags[0].meets is flags[-1].meets
-    subs = rational_subspaces(2, g.d)
-    for flag in flags:
-        for u in (*flag.members[:-1], *subs):
-            assert induced_type(flag, u) == induced_type_per_member(flag, u)
-    for flag in reversed(flags):
-        for other in flags[:: len(flags) // 5]:
-            for u in other.members[:-1]:
-                assert induced_type(flag, u) == induced_type_per_member(flag, u)
-
-
-def test_rational_subspaces_skip_the_field_check(monkeypatch):
-    flag = next(iter(enumerate_flags(from_values([3, 1, -1, -3]), 2, 2)))
-    subs = rational_subspaces(2, 4)
-    for u in subs:
-        induced_type(flag, u)  # fills the meet table
-    calls = []
-    original = FieldSpec.is_extension_of
-    monkeypatch.setattr(FieldSpec, "is_extension_of", lambda *a: calls.append(a) or original(*a))
-    for u in subs:
-        induced_type(flag, u)
-    assert calls == []
+    flag = next(iter(enumerate_flags(g, 2, 2)))
+    if filled:
+        for u in rational_subspaces(2, g.d):
+            induced_type(flag, u)
+        assert all(UNKNOWN not in row for row in flag.rows)
+    line = frame(make_field(2, 1), 3, (1, 0, 0))
+    refused = (
+        *flag.members,
+        SubspaceGF(make_field(2, 2), 3, line.basis),
+        SubspaceGF(make_field(3, 1), 3, line.basis),
+        SubspaceGF.full(make_field(3, 1), 3),
+        rational_subspaces(2, 2)[0],
+        rational_subspaces(2, 4)[0],
+        rational_subspaces(2, 4)[-1],  # as many dims as the flag's space
+        SubspaceGF(make_field(2, 1), 3, ()),
+    )
+    for u in refused:
+        with pytest.raises(ConfigError):
+            induced_type(flag, u)
+        with pytest.raises(ConfigError):
+            induced_degree(flag, u)
 
 
 def test_foreign_field_subspace_is_rejected_after_a_table_hit():

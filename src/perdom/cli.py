@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import cohomology as coh
 from . import complexes as cx
@@ -48,10 +47,8 @@ def _parse_g(args) -> slopes.SlopeFunction:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read a slope config from {spec[1:]!r}: {exc}") from exc
         return slopes.parse_g_config(config)
-    try:
-        values = [Fraction(part.strip()) for part in spec.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse slope values from {spec!r}") from exc
+    parts = (part.strip() for part in spec.split(","))
+    values = [slopes.parse_value(part, "slope value") for part in parts if part]
     if not values:
         raise ConfigError("empty slope value list")
     return slopes.from_values(values)
@@ -111,7 +108,8 @@ def _require_budget(args, price, what: str):
 
 
 def _emit_json(payload, path: str | None):
-    _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    if path is not None:
+        _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
 
 def _emit_text(text: str, path: str | None):

@@ -14,6 +14,7 @@ they are stored as a threshold plus a strictness flag.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -114,8 +115,29 @@ def validate(pairs) -> SlopeFunction:
         raise ConfigError("slope function must have positive total multiplicity")
     weighted = sum((x * m for x, m in norm), Fraction(0))
     if weighted != 0:
-        raise ConfigError(f"weighted sum of slopes must be 0, got {weighted}")
+        try:
+            shown = str(weighted)
+        except ValueError:  # past the interpreter's integer digit limit
+            shown = "a number too long to print"
+        raise ConfigError(f"weighted sum of slopes must be 0, got {shown}")
     return g
+
+
+def parse_value(text: str, what: str) -> Fraction:
+    """A slope value or family threshold such as "3/2" or "-1e-3".  A decimal
+    exponent past the integer digit limit (4300 where the interpreter sets
+    none) is refused before the Fraction is built, which for "1e10000000"
+    alone takes seconds; so is a value too long to print."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    try:
+        _, marker, exponent = text.lower().partition("e")
+        if marker and abs(int(exponent)) > limit:
+            raise ConfigError(f"{what} {text!r} has an exponent past {limit} digits")
+        value = Fraction(text)
+        str(value)  # ValueError past the digit limit
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+    return value
 
 
 def from_values(values) -> SlopeFunction:
@@ -250,10 +272,7 @@ def parse_family(spec: str) -> ClosedFamily:
     if spec == "ss":
         return ClosedFamily.semistable()
     if isinstance(spec, str) and spec.startswith("ge:"):
-        try:
-            return ClosedFamily(Fraction(spec[3:]), strict=False)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad family threshold {spec!r}") from exc
+        return ClosedFamily(parse_value(spec[3:], "family threshold"), strict=False)
     raise ConfigError(f"unknown family spec {spec!r}")
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -321,6 +322,12 @@ def test_bad_n_ranges_exit_two(capsys):
         ("table", "--g", "1,-1", "--q", "2", "--n", "14300"),
         ("table", "--drinfeld", "9", "--q", "2", "--n", "1800", "--json", "-"),
         ("table", "--g", "1,-1", "--q", "2", "--n", "1" + "0" * 4000),
+        ("table", "--g", "1e5000,-1e5000", "--q", "2"),
+        ("table", "--g", "1e10000000,-1e10000000", "--q", "2"),
+        ("table", "--g", "1,-1", "--q", "2", "--family", "ge:1e5000"),
+        ("stalk", "--g", "1,-1", "--q", "2", "--family", "ge:-1e5000"),
+        ("verify-all", "--quick", "--family", "ge:-1e5000"),
+        ("zeta", "--g", "9e4299,9e4299", "--q", "2"),
     ],
     ids=[
         "missing-config",
@@ -350,6 +357,12 @@ def test_bad_n_ranges_exit_two(capsys):
         "table-trace-above-digit-limit",
         "table-json-trace-above-digit-limit",
         "table-n-4001-digits",
+        "table-slope-exponent-past-digit-limit",
+        "table-slope-exponent-1e7",
+        "table-threshold-exponent-past-digit-limit",
+        "stalk-negative-threshold-exponent-past-digit-limit",
+        "verify-all-negative-threshold-exponent-past-digit-limit",
+        "zeta-weighted-sum-too-long-to-print",
     ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path):
@@ -358,6 +371,56 @@ def test_bad_inputs_exit_two(argv, tmp_path):
     code, _, err = run_bounded([a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+G_ATOMS = ("0", "1", "-1", "3/2", "-3/2", "1e-3", "1e5000", "-1e5000", "1/0", "nan", "")
+FAMILIES = ("ss", "ge:1", "ge:1/3", "ge:0", "ge:1e5000", "ge:-1e5000", "ge:-2", "ge:x", "ge:")
+# the options each fuzzed command takes, beyond --g, --q and --json
+FUZZ_OPTIONS = {
+    "zeta": ("--family", "--n"),
+    "stalk": ("--family", "--n"),
+    "table": ("--family", "--n"),
+    "dims": (),
+    "kcomplex": ("--i0",),
+}
+
+
+def fuzzed_argv(rng) -> list[str]:
+    command = rng.choice(sorted(FUZZ_OPTIONS))
+    atoms = [rng.choice(G_ATOMS) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:  # balanced lists get past the weighted-sum check
+        atoms += [a[1:] if a.startswith("-") else "-" + a for a in atoms]
+    g = ",".join(atoms)
+    argv = [command, "--g", g, "--q", str(rng.choice((-3, 0, 1, 2, 3, 4, 5)))]
+    choices = {
+        "--family": FAMILIES,
+        "--n": ("1", "1..2", "0", "3..1", "x"),
+        "--i0": ("1", "1,2", "", "x", "0", "7"),
+    }
+    for option in FUZZ_OPTIONS[command]:
+        if rng.random() < 0.7:
+            argv += [option, rng.choice(choices[option])]
+    if rng.random() < 0.3:
+        argv += ["--json", "-"]
+    return argv
+
+
+def test_no_fuzzed_input_makes_main_raise(capsys, monkeypatch):
+    # every input ends in a documented exit code (0, 2 or 4 for these
+    # commands) or in argparse's usage error, never in a traceback
+    monkeypatch.setenv("PERDOM_BUDGET", "3000")
+    rng = random.Random(21)
+    codes = {}
+    for _ in range(800):
+        argv = fuzzed_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 4), argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes.get(0) and codes.get(2)
 
 
 @pytest.mark.parametrize("command", ["zeta", "kcomplex"])
@@ -389,7 +452,7 @@ def test_large_prime_q_is_decided_at_once():
 
 
 def test_a_stalk_failure_reaches_both_drivers(capsys, monkeypatch):
-    monkeypatch.setattr(cli.cx, "stalk_homology", lambda verts: (1,))
+    monkeypatch.setattr(cli.cx, "stalk_homology", lambda verts, p, d: (1,))
     code, out, _ = run(capsys, "stalk", "--g", "2,1,-3", "--q", "2", "--n", "1")
     assert code == 3
     assert "21 stalk failures" in out

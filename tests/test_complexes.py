@@ -17,7 +17,6 @@ from perdom.slopes import (
     ClosedFamily,
     drinfeld,
     from_values,
-    induced_degree,
     induced_type,
     parse_family,
 )
@@ -31,6 +30,9 @@ def test_coset_space_sizes_and_projection_fibers():
     maximal = ParabolicType.from_gens(3, [1])
     assert len(cx.coset_space(borel, 2)) == 21
     assert len(cx.coset_space(maximal, 2)) == 7
+    for ptype in parabolic_types(3):
+        keys = [tuple(m.sort_key() for m in point) for point in cx.coset_space(ptype, 3)]
+        assert keys == sorted(keys)
     proj = cx.projection_indices(borel, maximal, 2)
     fibers = {}
     for x, y in enumerate(proj):
@@ -126,10 +128,9 @@ def test_stalk_of_projective_line_point():
     flag = next(iter(enumerate_flags(g, 2, 1)))
     verts = cx.build_stalk(flag, SS)
     assert len(verts) == 1
-    assert cx.stalk_homology(verts) == (0, 0)
-    witness = cx.quillen_witness(verts, flag, SS)
-    assert witness.ok and witness.u0 == verts[0]
-    assert witness.pairs == ((verts[0], verts[0]),)
+    assert cx.stalk_homology(verts, 2, 2) == (0, 0)
+    assert cx.quillen_witness(verts, flag, SS)
+    assert cx._join(2, 2, verts[0], verts[0]) == verts[0]
 
 
 def test_semistable_flag_reports_not_in_y():
@@ -160,39 +161,60 @@ def test_chain_poset_images_take_the_larger_summand():
     # type (1, 0, -1) over GF(4) produces multi-vertex chain posets; there
     # the minimal vertex is absorbed: every image is max(U, U0) = U
     g = from_values([1, 0, -1])
+    subs = rational_subspaces(2, 3)
     found = 0
     for flag in enumerate_flags(g, 2, 2):
         vs = cx.build_stalk(flag, SS)
         if len(vs) < 2:
             continue
         if not all(
-            a.is_subspace_of(b) or b.is_subspace_of(a)
+            subs[a].is_subspace_of(subs[b]) or subs[b].is_subspace_of(subs[a])
             for i, a in enumerate(vs)
             for b in vs[i + 1 :]
         ):
             continue
         found += 1
-        witness = cx.quillen_witness(vs, flag, SS)
-        assert witness.ok
-        for u, image in witness.pairs:
-            assert image == (u if witness.u0.is_subspace_of(u) else witness.u0)
+        assert cx.quillen_witness(vs, flag, SS)
+        u0 = vs[0]
+        for u in vs:
+            image = cx._join(2, 3, u, u0)
+            assert image == (u if subs[u0].is_subspace_of(subs[u]) else u0)
     assert found == 21
 
 
-def first_minimal_vertex(verts):
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_join_is_the_least_rational_subspace_containing_both(p, d):
+    # U + U0 without a sum: the least proper subspace holding both, of
+    # dim U + dim U0 - dim(U meet U0) by the kernel route; None if none is proper
+    subs = rational_subspaces(p, d)
+    holding = [{k for k, v in enumerate(subs) if u.is_subspace_of(v)} for u in subs]
+    for i, u in enumerate(subs):
+        for j, w in enumerate(subs):
+            k = min(holding[i] & holding[j], key=lambda k: subs[k].dim, default=None)
+            dim = subs[k].dim if k is not None else d
+            assert dim == u.dim + w.dim - kernel_intersection(u, w).dim
+            assert cx._join(p, d, i, j) == k
+
+
+def first_minimal_vertex(verts, subs):
     """The minimal vertex found by scanning for one containing no other."""
-    return next(v for v in verts if not any(u != v and u.is_subspace_of(v) for u in verts))
+    return next(
+        v for v in verts if not any(u != v and subs[u].is_subspace_of(subs[v]) for u in verts)
+    )
 
 
 def test_witness_base_is_the_first_minimal_vertex():
-    g = from_values([3, 1, -1, -3])
+    # build_stalk returns ascending positions, which sort by (dim, basis), so
+    # its first vertex, the U0 of the witness, contains no other vertex
+    g, subs = from_values([3, 1, -1, -3]), rational_subspaces(2, 4)
     stalks = 0
     for flag in enumerate_flags(g, 2, 1):
         verts = cx.build_stalk(flag, SS)
         if not verts:
             continue
         stalks += 1
-        assert cx.quillen_witness(verts, flag, SS).u0 == first_minimal_vertex(verts)
+        assert list(verts) == sorted(set(verts))
+        assert verts[0] == first_minimal_vertex(verts, subs)
     assert stalks == 315
 
 
@@ -208,8 +230,8 @@ def test_cached_stalk_homology_equals_a_fresh_computation(values, family, ns):
             if not verts:
                 continue
             stalks += 1
-            fresh = cx._order_complex_homology.__wrapped__(cx._stalk_above(verts))
-            assert cx.stalk_homology(verts) == fresh
+            fresh = cx._order_complex_homology.__wrapped__(cx._stalk_above(verts, 2, g.d))
+            assert cx.stalk_homology(verts, 2, g.d) == fresh
     assert stalks
 
 
@@ -243,20 +265,9 @@ def test_stalk_degree_vectors_equal_per_subspace_types(values, family, p, n):
     subs = rational_subspaces(p, g.d)
     for flag in enumerate_flags(g, p, n):
         fresh = dataclasses.replace(flag, meets={})
-        expected = tuple(u for u in subs if family.contains(induced_type(flag, u)))
+        expected = tuple(i for i, u in enumerate(subs) if family.contains(induced_type(flag, u)))
         assert cx.build_stalk(fresh, family) == expected
         assert cx.build_stalk(flag, family) == expected
-
-
-def test_rational_subspace_of_another_ambient_is_refused():
-    flag = next(iter(enumerate_flags(from_values([3, 1, -1, -3]), 2, 1)))
-    cx.build_stalk(flag, SS)  # fills the meet rows
-    for d in (3, 5):
-        u = rational_subspaces(2, d)[0]
-        with pytest.raises(ConfigError):
-            induced_type(flag, u)
-        with pytest.raises(ConfigError):
-            induced_degree(flag, u)
 
 
 def recorded_flags(monkeypatch) -> list:
@@ -315,32 +326,46 @@ def test_meet_rows_are_filed_only_under_members(monkeypatch, g):
 def test_join_cache_keeps_the_vertex_check():
     # drop U + U0 from a stalk: the witness must fail whether or not the
     # join of (U, U0) is already cached
+    subs, position = rational_subspaces(2, 4), rational_positions(2, 4)
     for flag in enumerate_flags(from_values([3, 1, -1, -3]), 2, 1):
         verts = cx.build_stalk(flag, SS)
-        images = [u.sum_with(verts[0]) for u in verts]
+        images = [position.get(subs[u].sum_with(subs[verts[0]]).basis) for u in verts]
         dropped = next((im for u, im in zip(verts, images) if im not in (u, verts[0])), None)
         if dropped is not None:
             break
     fewer = tuple(v for v in verts if v != dropped)
     assert len(fewer) >= 2
     cx._join.cache_clear()
-    assert not cx.quillen_witness(fewer, flag, SS).ok
-    assert cx.quillen_witness(verts, flag, SS).ok  # caches the join of every pair
-    assert not cx.quillen_witness(fewer, flag, SS).ok
+    assert not cx.quillen_witness(fewer, flag, SS)
+    assert cx.quillen_witness(verts, flag, SS)  # caches the join of every pair
+    assert not cx.quillen_witness(fewer, flag, SS)
 
 
 # -- closed-stratum counting -------------------------------------------------------
 
 
-@pytest.mark.parametrize("values", [[2, 1, -3], [1, 1, -2]])
+# slope values -> the primes their closed strata are counted over
+CLOSED_STRATUM_PRIMES = {
+    (2, 1, -3): (2, 3),
+    (1, 1, -2): (2, 3),
+    (3, 1, -1, -3): (2,),
+    (2, 2, -1, -3): (2,),
+    (3, -1, -1, -1): (2,),
+    (1, 0, -1): (3,),
+}
+
+
+@pytest.mark.parametrize("values", list(CLOSED_STRATUM_PRIMES))
 def test_closed_stratum_cell_counts(values):
     g = from_values(values)
-    q = 2
-    for i in range(1, g.d):
-        ptype = ParabolicType.from_gens(g.d, [j for j in range(1, g.d) if j != i])
-        geometric = cx.closed_stratum_count(g, SS, ptype, q)
-        predicted = sum(q ** length(w) for w in coh.omega_set(g, SS, ptype))
-        assert geometric == predicted
+    for q in CLOSED_STRATUM_PRIMES[values]:
+        for family in (SS, parse_family("ge:1")):
+            for ptype in parabolic_types(g.d):
+                if ptype.is_full:
+                    continue
+                geometric = cx.closed_stratum_count(g, family, ptype, q)
+                predicted = sum(q ** length(w) for w in coh.omega_set(g, family, ptype))
+                assert geometric == predicted, (q, family, ptype)
 
 
 def test_closed_stratum_count_rank_four():

@@ -393,40 +393,32 @@ def test_non_rational_subspaces_are_refused(filled):
     # the kernel takes nonzero subspaces of GF(p)^d over GF(p) only: a flag
     # member over GF(p^n), a subspace over another prime and one of another
     # ambient are refused, on a cold store and after it has filled
-    g = from_values([2, 1, -3])
-    flag = next(iter(enumerate_flags(g, 2, 2)))
-    if filled:
-        for u in rational_subspaces(2, g.d):
-            induced_type(flag, u)
-        assert all(UNKNOWN not in row for row in flag.rows)
-    line = frame(make_field(2, 1), 3, (1, 0, 0))
-    refused = (
-        *flag.members,
-        SubspaceGF(make_field(2, 2), 3, line.basis),
-        SubspaceGF(make_field(3, 1), 3, line.basis),
-        SubspaceGF.full(make_field(3, 1), 3),
-        rational_subspaces(2, 2)[0],
-        rational_subspaces(2, 4)[0],
-        rational_subspaces(2, 4)[-1],  # as many dims as the flag's space
-        SubspaceGF(make_field(2, 1), 3, ()),
-    )
-    for u in refused:
-        with pytest.raises(ConfigError):
-            induced_type(flag, u)
-        with pytest.raises(ConfigError):
-            induced_degree(flag, u)
-
-
-def test_foreign_field_subspace_is_rejected_after_a_table_hit():
-    flag = next(iter(enumerate_flags(from_values([2, 1, -3]), 2, 2)))
-    u2 = frame(make_field(2, 1), 3, (1, 0, 0), (0, 1, 1))
-    induced_type(flag, u2)
-    assert flag.meets  # the GF(2) subspace filled the table
-    u3 = SubspaceGF(make_field(3, 1), 3, u2.basis)
-    with pytest.raises(ConfigError):
-        induced_type(flag, u3)
-    with pytest.raises(ConfigError):
-        induced_degree(flag, u3)
+    for values, n in (([2, 1, -3], 2), ([3, 1, -1, -3], 1)):
+        g = from_values(values)
+        flag = next(iter(enumerate_flags(g, 2, n)))
+        if filled:
+            for u in rational_subspaces(2, g.d):
+                induced_type(flag, u)
+            assert all(UNKNOWN not in row for row in flag.rows)
+        e = [tuple(int(i == j) for j in range(g.d)) for i in range(g.d)]
+        line = frame(make_field(2, 1), g.d, e[0])
+        plane = frame(make_field(2, 1), g.d, e[0], tuple(x + y for x, y in zip(e[1], e[2])))
+        refused = (
+            *(flag.members if n > 1 else ()),  # over GF(2), members are rational
+            SubspaceGF(make_field(2, 2), g.d, line.basis),
+            SubspaceGF(make_field(3, 1), g.d, line.basis),
+            SubspaceGF(make_field(3, 1), g.d, plane.basis),  # same basis as a rational plane
+            SubspaceGF.full(make_field(3, 1), g.d),
+            rational_subspaces(2, g.d - 1)[0],
+            rational_subspaces(2, g.d + 1)[0],
+            rational_subspaces(2, g.d + 1)[-1],  # as many dims as the flag's space
+            SubspaceGF(make_field(2, 1), g.d, ()),
+        )
+        for u in refused:
+            with pytest.raises(ConfigError):
+                induced_type(flag, u)
+            with pytest.raises(ConfigError):
+                induced_degree(flag, u)
 
 
 @settings(max_examples=50, deadline=None)

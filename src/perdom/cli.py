@@ -14,9 +14,6 @@ import math
 import os
 import sys
 
-from . import cohomology as coh
-from . import complexes as cx
-from . import checks, flagenum, slopes, weyl
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -24,15 +21,13 @@ from .errors import (
     PerdomError,
     TheoremCheckError,
 )
-from .exactalg.gf import require_prime
-from .exactalg.qcount import all_flag_points, capped, q_multinomial
-from .weyl import ParabolicType
 
 ENV_BUDGET = "PERDOM_BUDGET"
 DEFAULT_BUDGET = 10_000_000
 
 
 def _parse_g(args) -> slopes.SlopeFunction:
+    from . import slopes
     if getattr(args, "drinfeld", None) is not None:
         if getattr(args, "g", None):
             raise ConfigError("give either --g or --drinfeld, not both")
@@ -127,6 +122,7 @@ def _emit_text(text: str, path: str | None):
 
 def _resolve_dq(args) -> tuple[int, int]:
     """(d, q) from --d (or the slope function) and --q, checked before pricing."""
+    from .exactalg.gf import require_prime
     d = _parse_g(args).d if args.d is None else args.d
     if d < 1:
         raise ConfigError(f"--d must be at least 1, got {d}")
@@ -135,6 +131,7 @@ def _resolve_dq(args) -> tuple[int, int]:
 
 
 def _parse_family(args) -> slopes.ClosedFamily:
+    from . import slopes
     family = slopes.parse_family(args.family)
     if not family.within_ss:
         raise ConfigError(
@@ -150,8 +147,9 @@ def _require_printable_traces(entries, q: int, n: int):
     """ConfigError, before any trace is evaluated, if one over GF(q^n) could
     pass the interpreter's integer-to-string digit limit (0: no limit): a
     trace is a sum of len(entries) terms dim * q^(n * length)."""
+    from .cohomology import rep_dim
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    scale = len(entries) * max(coh.rep_dim(e.rep, q) for e in entries)
+    scale = len(entries) * max(rep_dim(e.rep, q) for e in entries)
     # log10(q) > 1/4, so an exponent past 4 * limit is too large already
     exponent = min(n * max(e.length for e in entries), 4 * limit)
     if limit and exponent * math.log10(q) + math.log10(scale) >= limit:
@@ -161,6 +159,9 @@ def _require_printable_traces(entries, q: int, n: int):
 
 
 def cmd_table(args) -> int:
+    from . import cohomology as coh
+    from .exactalg.gf import require_prime
+    from .exactalg.qcount import capped, q_multinomial
     g = _parse_g(args)
     family = _parse_family(args)
     require_prime(args.q)
@@ -206,17 +207,19 @@ def _flag_inputs(args):
     """(g, family, ns) for the commands that enumerate flags, after the
     budget gate: every flag is classified against every rational subspace,
     and the price grows with n, so the largest n decides."""
+    from .flagenum import classification_tests
     g = _parse_g(args)
     family = _parse_family(args)
     ranges = _parse_n_ranges(args.n) or (range(1, 2),)
     n = max(r[-1] for r in ranges)
     _require_budget(
-        args, lambda cap: flagenum.classification_tests(g, args.q, n, cap), "flag/subspace tests"
+        args, lambda cap: classification_tests(g, args.q, n, cap), "flag/subspace tests"
     )
     return g, family, _n_values(ranges)
 
 
 def cmd_zeta(args) -> int:
+    from . import cohomology as coh, flagenum
     g, family, ns = _flag_inputs(args)
     rows = []
     ok = True
@@ -243,6 +246,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import cohomology as coh, complexes as cx, weyl
+    from .exactalg.qcount import all_flag_points, capped
     d, q = _resolve_dq(args)
 
     def price(cap):
@@ -275,6 +280,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_kcomplex(args) -> int:
+    from . import checks, weyl
+    from .exactalg.qcount import all_flag_points, capped
     d, q = _resolve_dq(args)
     if d < 2:
         raise ConfigError("kcomplex needs --d >= 2: at d = 1 there is no proper reflection subset")
@@ -284,7 +291,7 @@ def cmd_kcomplex(args) -> int:
             gens = [int(x) for x in args.i0.split(",") if x.strip()]
         except ValueError as exc:
             raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
-        i0 = ParabolicType.from_gens(d, gens)
+        i0 = weyl.ParabolicType.from_gens(d, gens)
 
     def price(cap):
         # d^2 units per point of the coset space of every J containing I0, as
@@ -316,6 +323,7 @@ def cmd_kcomplex(args) -> int:
 
 
 def cmd_stalk(args) -> int:
+    from . import complexes as cx
     g, family, ns = _flag_inputs(args)
     all_ok = True
     rows = []
@@ -337,6 +345,7 @@ def cmd_stalk(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import checks
     family = _parse_family(args)
     signs = "index" if args.corrupt_signs else "position"
     lines: list[str] = []

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import perdom.complexes
 from perdom import cli
 from perdom.cli import main
 from perdom.errors import InternalCheckError
@@ -89,14 +90,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # main() with every enumeration entry point patched to raise
 GUARDED_MAIN = """
 import sys
-from perdom import cli
+from perdom import checks, cli, cohomology, flagenum, weyl
 
 def unguarded(*args, **kwargs):
     raise AssertionError("the enumeration ran before the budget check")
 
-cli.coh.table_open = cli.weyl.parabolic_types = unguarded
-cli.flagenum.enumerate_flags = cli.flagenum.count_points = unguarded
-cli.checks.induction_report = unguarded
+cohomology.table_open = weyl.parabolic_types = unguarded
+flagenum.enumerate_flags = flagenum.count_points = unguarded
+checks.induction_report = unguarded
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -273,14 +274,14 @@ def test_verify_all_corrupt_signs_fails_at_composition(capsys):
 
 
 def test_zeta_mismatch_exits_three(capsys, monkeypatch):
-    import perdom.cli as cli_mod
+    import perdom.flagenum
     from perdom.flagenum import CountReport
 
     def broken_count(g, family, p, n):
         total = 21
         return CountReport(total=total, in_y=total - 1, in_open=1)
 
-    monkeypatch.setattr(cli_mod.flagenum, "count_points", broken_count)
+    monkeypatch.setattr(perdom.flagenum, "count_points", broken_count)
     code, out, err = run(capsys, "zeta", "--g", "2,1,-3", "--q", "2", "--n", "1")
     assert code == 3
     assert "MISMATCH" in out and "disagree" in err
@@ -452,7 +453,7 @@ def test_large_prime_q_is_decided_at_once():
 
 
 def test_a_stalk_failure_reaches_both_drivers(capsys, monkeypatch):
-    monkeypatch.setattr(cli.cx, "stalk_homology", lambda verts, p, d: (1,))
+    monkeypatch.setattr(perdom.complexes, "stalk_homology", lambda verts, p, d: (1,))
     code, out, _ = run(capsys, "stalk", "--g", "2,1,-3", "--q", "2", "--n", "1")
     assert code == 3
     assert "21 stalk failures" in out
@@ -466,7 +467,7 @@ def test_verify_all_reports_a_raising_group_and_continues(capsys, monkeypatch):
     def broken(ptype, q):
         raise InternalCheckError("planted mismatch")
 
-    monkeypatch.setattr(cli.cx, "check_dim_v", broken)
+    monkeypatch.setattr(perdom.complexes, "check_dim_v", broken)
     code, out, err = run(capsys, "verify-all", "--quick")
     assert code == 3
     assert "FAIL Steinberg dimensions agree across both routes" in out
@@ -484,6 +485,23 @@ def test_json_to_stdout(capsys):
 
 def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
+
+
+def test_help_loads_no_layer_module():
+    # the CLI imports each layer inside the commands that use it
+    script = (
+        "import sys\n"
+        "from perdom import cli\n"
+        "try:\n"
+        "    cli.main(['--help'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'perdom')\n"
+        "print(' '.join(mods), 'dataclasses' in sys.modules, file=sys.stderr)\n"
+    )
+    code, out, err = run_bounded([], script)
+    assert code == 0 and "usage: perdom" in out
+    assert err.split() == ["perdom", "perdom.cli", "perdom.errors", "False"]
 
 
 def test_drinfeld_and_g_conflict(capsys):

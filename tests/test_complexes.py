@@ -45,8 +45,9 @@ def test_projection_extremes():
     assert cx.projection_indices(borel, borel, 2) == tuple(range(21))
     to_point = cx.projection_indices(borel, ParabolicType.full(3), 2)
     assert set(to_point) == {0}
-    with pytest.raises(ConfigError):
-        cx.projection_indices(ParabolicType.from_gens(3, [1]), borel, 2)
+    for _ in range(2):  # the cache holds results, not exceptions
+        with pytest.raises(ConfigError):
+            cx.projection_indices(ParabolicType.from_gens(3, [1]), borel, 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

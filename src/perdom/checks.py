@@ -58,14 +58,14 @@ def check_prefix_map(quick, family, signs) -> bool:
 def check_parabolic_monotonicity(quick, family, signs) -> bool:
     ok = True
     for g in slope_grid(quick, 77):
-        mu, d = g.mu, g.d
-        for w in weyl.kostant_reps(mu):
-            delta = set(slopes.delta_w(w, mu, SS))
-            ok = ok and len(set(range(1, d)) - delta) <= weyl.length(w)
+        d = g.d
+        cells = {w: (lw, set(iw.complement())) for w, lw, iw in coh.kostant_cells(g.mu, SS)}
+        for w, (lw, delta) in cells.items():
+            ok = ok and d - 1 - len(delta) <= lw
             for i in range(1, d):
                 sw = weyl.compose(weyl.simple_reflection(i, d), w)
-                if weyl.is_kostant(sw, mu) and weyl.length(sw) == weyl.length(w) + 1:
-                    delta_sw = set(slopes.delta_w(sw, mu, SS))
+                if sw in cells and cells[sw][0] == lw + 1:
+                    delta_sw = cells[sw][1]
                     ok = ok and delta_sw <= delta and (delta - delta_sw) <= {i}
     return ok
 

@@ -119,11 +119,9 @@ def _sorted_entries(entries) -> tuple[CohEntry, ...]:
 
 @lru_cache(maxsize=None)
 def kostant_cells(mu, family: ClosedFamily) -> tuple[tuple[Perm, int, ParabolicType], ...]:
-    """(w, length(w), I_w) for every minimal coset representative of mu.
-
-    kostant_reps validates mu once, so I_w's per-representative guard is
-    skipped; the tables, the cell total and omega_set all read this pass.
-    """
+    """(w, length(w), I_w) for every minimal coset representative of mu,
+    I_w read off the partial sums of w.mu; the tables, the cell total,
+    omega_set and the parabolic-monotonicity check all read this pass."""
     return tuple(
         (w, length(w), outside_family(act(w, mu), family)) for w in kostant_reps(mu)
     )

@@ -27,26 +27,29 @@ from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_positions, rational_subspaces
 from .flagenum import enumerate_flags, flag_orbits
-from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_type, scaled_degrees
+from .slopes import (
+    ClosedFamily,
+    FilteredSpace,
+    SlopeFunction,
+    induced_degree,
+    induced_type,
+    scaled_degrees,
+)
 from .weyl import ParabolicType
-
-PartialFlag = tuple[SubspaceGF, ...]
 
 
 @lru_cache(maxsize=None)
-def coset_space(ptype: ParabolicType, q: int) -> tuple[PartialFlag, ...]:
-    """The finite set (G/P_I)(k) as canonical partial flags over GF(q), sorted
-    by their members' `sort_key`; the full type gives the one point ().  The
-    sort is load-bearing for the pullback-span oracle: unsorted, its exact rank
-    takes 2-3 times as long at d = 5, q = 2 and at d = 4, q = 5.  The induction
-    complex's rank takes rows last to first and is about as fast either way."""
+def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple, ...]:
+    """The finite set (G/P_I)(k), each point the tuple of reduced echelon
+    bases of a partial flag over GF(q), sorted; the full type gives the one
+    point ().  Member dims are fixed within one coset space, so this is the
+    order of the members' `sort_key`.  The sort is load-bearing for the
+    pullback-span oracle: unsorted, its exact rank takes 2-3 times as long at
+    d = 5, q = 2 and at d = 4, q = 5.  The induction complex's rank takes rows
+    last to first and is about as fast either way."""
     field = make_field(q, 1)
-    points = tuple(
-        sorted(
-            enumerate_chains(field, ptype.d, ptype.complement()),
-            key=lambda chain: tuple(m.sort_key() for m in chain),
-        )
-    )
+    chains = enumerate_chains(field, ptype.d, ptype.complement())
+    points = tuple(sorted(tuple(m.basis for m in chain) for chain in chains))
     assert len(points) == q_multinomial(ptype.composition(), q)
     return points
 
@@ -54,12 +57,12 @@ def coset_space(ptype: ParabolicType, q: int) -> tuple[PartialFlag, ...]:
 @lru_cache(maxsize=None)
 def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tuple[int, ...]:
     """For I inside J, the point map (G/P_I)(k) -> (G/P_J)(k): forget the
-    flag members whose dimension J does not cut, matching points by bases."""
+    flag members whose dimension J does not cut."""
     if not fine.issubset(coarse):
         raise ConfigError("projection needs nested reflection subsets")
-    index = {tuple(m.basis for m in pt): i for i, pt in enumerate(coset_space(coarse, q))}
+    index = {pt: i for i, pt in enumerate(coset_space(coarse, q))}
     keep = [k for k, dim in enumerate(fine.complement()) if dim in coarse.complement()]
-    return tuple(index[tuple(pt[k].basis for k in keep)] for pt in coset_space(fine, q))
+    return tuple(index[tuple(pt[k] for k in keep)] for pt in coset_space(fine, q))
 
 
 def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
@@ -79,16 +82,11 @@ def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
     return rational_rank(rows)
 
 
-def dim_v_span_rank(parabolic: ParabolicType, q: int) -> int:
-    """Independent route: the induced dimension minus the exact rank of the
-    span of all functions pulled back from proper overgroup quotients."""
-    return dim_induced(parabolic, q) - pullback_span_rank(parabolic, q)
-
-
 def check_dim_v(parabolic: ParabolicType, q: int) -> int:
-    """Run both routes for dim v and insist they agree."""
+    """Run both routes for dim v and insist they agree: the Moebius route and
+    the induced dimension minus the exact rank of the pulled-back functions."""
     moebius = dim_v(parabolic, q)
-    oracle = dim_v_span_rank(parabolic, q)
+    oracle = dim_induced(parabolic, q) - pullback_span_rank(parabolic, q)
     if moebius != oracle:
         raise InternalCheckError(
             f"dim v mismatch for {parabolic}, q={q}: moebius {moebius} vs rank {oracle}"
@@ -142,7 +140,7 @@ def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ
             for x in range(len(coset_space(j, q))):
                 rows.append({start + proj[x]: sign for start, proj, sign in blocks})
         maps.append(MatrixQ(dims[k], dims[k - 1], tuple(rows)))
-    return chain_complex(-1, dims, maps)
+    return chain_complex(dims, maps)
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,7 @@ def _order_complex_homology(above) -> tuple[int, ...]:
             for chain in levels[p]
         )
         maps.append(MatrixQ(len(levels[p]), len(levels[p - 1]), rows))
-    return chain_complex(-1, dims, maps).homology_dims()
+    return chain_complex(dims, maps).homology_dims()
 
 
 def stalk_homology(verts: tuple[int, ...], p: int, d: int) -> tuple[int, ...]:
@@ -312,7 +310,8 @@ def closed_stratum_count(
         raise ConfigError("the closed-stratum count needs a proper reflection subset")
     full = SubspaceGF.full(make_field(p, 1), g.d)
     standards = tuple(SubspaceGF(full.field, g.d, full.basis[:i]) for i in ptype.complement())
+    least = family.least_scaled_degree(g.scale)
     return sum(
-        all(family.contains(induced_type(flag, std)) for std in standards)
+        all(induced_degree(flag, std) >= least for std in standards)
         for flag in enumerate_flags(g, p, 1)
     )

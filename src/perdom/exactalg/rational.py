@@ -100,13 +100,12 @@ def mat_mul_exact(a: MatrixQ, b: MatrixQ) -> MatrixQ:
 class ChainComplexQ:
     """A finite cochain complex of exact matrices.
 
-    Term j has dimension dims[j] and sits in degree offset + j; maps[j]
+    Term j has dimension dims[j] and sits in degree j - 1; maps[j]
     sends term j to term j+1 and has shape (dims[j+1], dims[j]) acting on
     column vectors.  Validation checks shapes and that consecutive maps
     compose to zero.
     """
 
-    offset: int
     dims: tuple[int, ...]
     maps: tuple[MatrixQ, ...]
 
@@ -120,7 +119,7 @@ class ChainComplexQ:
         return tuple(out)
 
 
-def chain_complex(offset: int, dims, maps) -> ChainComplexQ:
+def chain_complex(dims, maps) -> ChainComplexQ:
     """Build and validate a ChainComplexQ; raises on nonzero composition."""
     dims = tuple(dims)
     maps = tuple(maps)
@@ -136,5 +135,5 @@ def chain_complex(offset: int, dims, maps) -> ChainComplexQ:
             raise InternalCheckError(
                 f"differentials {j} and {j+1} do not compose to zero"
             )
-    return ChainComplexQ(offset, dims, maps)
+    return ChainComplexQ(dims, maps)
 

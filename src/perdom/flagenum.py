@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .exactalg.gf import check_field, make_field
 from .exactalg.qcount import capped, q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_subspaces
-from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree
+from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree, meet_entry
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,11 @@ def flag_orbits(g: SlopeFunction, p: int, n: int):
     flags of type g over GF(p^n): the flag whose tuple of proper-member bases
     is least among its images under x -> x^p.  The Frobenius fixes every
     rational subspace, so dim(U meet F_j) is the same for all flags of an
-    orbit and so is every verdict built from it.  Each member basis's images
-    are computed once per call, on its first flag.  At n = 1 it is the
-    identity: every flag, size 1."""
-    field = make_field(p, n)
-    orbits: dict = {}  # member basis -> (basis, sigma(basis), ..., sigma^(n-1)(basis))
-
-    def orbit(basis):
-        out = orbits.get(basis)
-        if out is None:
-            out = [basis]
-            for _ in range(n - 1):
-                out.append(field.frobenius(out[-1]))
-            out = orbits[basis] = tuple(out)
-        return out
-
+    orbit and so is every verdict built from it.  Each member's images are
+    read from the meet store (`meet_entry`), which computes them once per
+    enumeration.  At n = 1 it is the identity: every flag, size 1."""
     for flag in enumerate_flags(g, p, n):
-        columns = [orbit(m.basis) for m in flag.members[:-1]]
+        columns = [meet_entry(flag, m.basis)[0] for m in flag.members[:-1]]
         key = tuple(column[0] for column in columns)
         for size in range(1, n + 1):  # the n-th image is the flag itself
             image = tuple(column[size % n] for column in columns)
@@ -91,12 +79,14 @@ def flag_orbits(g: SlopeFunction, p: int, n: int):
 
 def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> CountReport:
     """Classify one flag of each Frobenius orbit of type g over GF(p^n)
-    against the family, weighted by the orbit size."""
+    against the family, weighted by the orbit size.  A flag is unstable when
+    some rational U has scale * deg U at least the family's scaled threshold."""
     subspaces = rational_subspaces(p, g.d)
+    least = family.least_scaled_degree(g.scale)
     total = 0
     in_y = 0
     for flag, size in flag_orbits(g, p, n):
         total += size
-        if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
+        if any(induced_degree(flag, u) >= least for u in subspaces):
             in_y += size
     return CountReport(total=total, in_y=in_y, in_open=total - in_y)

@@ -20,19 +20,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
 from math import ceil, floor, lcm
+from operator import mul
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import FieldSpec
 from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
-from .weyl import (
-    Perm,
-    ParabolicType,
-    act,
-    bruhat_leq,
-    double_coset_reps,
-    inverse,
-    is_kostant,
-)
+from .weyl import Perm, ParabolicType, act, bruhat_leq, double_coset_reps
 
 
 @dataclass(frozen=True)
@@ -79,11 +72,16 @@ class SlopeFunction:
         return lcm(*(x.denominator for x, _ in self.pairs))
 
     @cached_property
+    def scaled_values(self) -> tuple[int, ...]:
+        """scale times each value, an integer."""
+        return tuple(int(x * self.scale) for x, _ in self.pairs)
+
+    @cached_property
     def jump_weights(self) -> tuple[int, ...]:
         """scale * (v_j - v_{j+1}) for each value but the last, then
         scale * v_r: the weights of dim(U meet F_j) in scale * deg U."""
-        values = [x * self.scale for x, _ in self.pairs]
-        return (*(int(a - b) for a, b in zip(values, values[1:])), int(values[-1]))
+        values = self.scaled_values
+        return (*(a - b for a, b in zip(values, values[1:])), values[-1])
 
     def cumulative_dims(self) -> tuple[int, ...]:
         out = []
@@ -283,8 +281,7 @@ def h_w_i(mu, w: Perm, i: int) -> Subfunction:
     """Multiset of the first i entries of w acting on mu."""
     if not 0 <= i <= len(mu):
         raise ConfigError(f"prefix length {i} out of range")
-    inv = inverse(w)
-    return subfunction(mu[inv[k] - 1] for k in range(i))
+    return subfunction(act(w, mu)[:i])
 
 
 def kappa(i: int, mu) -> dict[Perm, Subfunction]:
@@ -311,28 +308,13 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
     return mapping
 
 
-def I_w(w: Perm, mu, family: ClosedFamily) -> ParabolicType:
-    """Reflections s_i whose length-i prefix subfunction is outside the family.
-
-    The family depends only on the degree, and the degree of h_w_i is the
-    i-th partial sum of w.mu.  Only defined for minimal coset representatives;
-    anything else is an error rather than a silent normalization.
-    """
-    if not is_kostant(w, mu):
-        raise ConfigError(f"{w} is not a minimal coset representative for mu={mu}")
-    return outside_family(act(w, mu), family)
-
-
 def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
-    """Reflections s_i whose i-th partial sum of w.mu lies outside the family."""
+    """Reflections s_i whose i-th partial sum of w.mu lies outside the family:
+    I_w for a minimal coset representative w, since the family depends only
+    on the degree and the degree of h_w_i is that partial sum."""
     sums = accumulate(w_mu[:-1])
     gens = [i for i, total in enumerate(sums, start=1) if not family.contains_degree(total)]
     return ParabolicType.from_gens(len(w_mu), gens)
-
-
-def delta_w(w: Perm, mu, family: ClosedFamily) -> tuple[int, ...]:
-    """Complement of I_w: root indices alpha_i with s_i outside I_w."""
-    return I_w(w, mu, family).complement()
 
 
 # -- filtered spaces ----------------------------------------------------------
@@ -346,14 +328,14 @@ class FilteredSpace:
 
     members[j] realizes the filtration step at the j-th largest slope value;
     dims grow by the multiplicities, and the last member is the full space.
-    meets maps a member's basis to its meet row, a bytearray whose entry at
-    the position of U in `rational_subspaces(p, d)` is dim(U (x) k meet
-    member), or UNKNOWN.  All flags of one enumeration share meets, since
-    the dim depends only on the pair.  A rational U is fixed by the
-    Frobenius x -> x^p, so dim(U meet W) = dim(U meet sigma(W)): a member's
-    Frobenius images share its row, and at n = 1, where every member is
-    itself rational, one intersection fills dim(U meet W) in W's row and in
-    U's.
+    meets maps a member's basis to (images, row): its Frobenius images under
+    x -> x^p, starting at the basis itself, and its meet row, a bytearray
+    whose entry at the position of U in `rational_subspaces(p, d)` is
+    dim(U (x) k meet member), or UNKNOWN.  All flags of one enumeration share
+    meets, since the dim depends only on the pair.  A rational U is fixed by
+    the Frobenius, so dim(U meet W) = dim(U meet sigma(W)): a member's images
+    share its row, and at n = 1, where every member is itself rational, one
+    intersection fills dim(U meet W) in W's row and in U's.
     """
 
     field: FieldSpec
@@ -369,7 +351,7 @@ class FilteredSpace:
     @cached_property
     def rows(self) -> tuple[bytearray, ...]:
         """The meet rows of the proper members, resolved once per flag."""
-        return tuple(_meet_row(self, m.basis) for m in self.members[:-1])
+        return tuple(meet_entry(self, m.basis)[1] for m in self.members[:-1])
 
     @cached_property
     def mirrors(self):
@@ -381,18 +363,21 @@ class FilteredSpace:
         return {m.dim for m in proper}, tuple(self.positions[m.basis] for m in proper)
 
 
-def _meet_row(flag: FilteredSpace, basis) -> bytearray:
-    """The meet row filed under a member basis and its Frobenius images,
-    made on first use."""
-    row = flag.meets.get(basis)
-    if row is None:
+def meet_entry(flag: FilteredSpace, basis) -> tuple[tuple, bytearray]:
+    """The (images, row) filed under a member basis, made on first use for
+    all of its Frobenius images at once: each image's tuple is the same
+    orbit rotated to start at that image, and they share one row."""
+    entry = flag.meets.get(basis)
+    if entry is None:
         field = flag.field
-        row = flag.meets[basis] = bytearray([UNKNOWN]) * len(flag.positions)
-        image = basis
+        images = [basis]
         for _ in range(field.n - 1):  # the n-th image is the member itself
-            image = field.frobenius(image)
-            flag.meets[image] = row
-    return row
+            images.append(field.frobenius(images[-1]))
+        row = bytearray([UNKNOWN]) * len(flag.positions)
+        for k, image in enumerate(images):
+            flag.meets[image] = (tuple(images[k:] + images[:k]), row)
+        entry = flag.meets[basis]
+    return entry
 
 
 def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
@@ -401,7 +386,7 @@ def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
     flag.rows[j][i] = meet
     mirrors = flag.mirrors
     if mirrors is not None and u.dim in mirrors[0]:
-        _meet_row(flag, u.basis)[mirrors[1][j]] = meet
+        meet_entry(flag, u.basis)[1][mirrors[1][j]] = meet
 
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
@@ -443,9 +428,9 @@ def induced_type(flag: FilteredSpace, u: SubspaceGF) -> Subfunction:
     return flag.slope.type_of(_graded_dims(flag, u))
 
 
-def induced_degree(flag: FilteredSpace, u: SubspaceGF) -> Fraction:
-    """Degree of the induced type."""
-    return flag.slope.type_of(_graded_dims(flag, u)).degree
+def induced_degree(flag: FilteredSpace, u: SubspaceGF) -> int:
+    """slope.scale times the degree of the induced type, an integer."""
+    return sum(map(mul, flag.slope.scaled_values, _graded_dims(flag, u)))
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,9 @@ containment_by_sum is the containment test perdom used before it reduced
 rows against the echelon basis: A lies in B iff A + B is B.
 matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
 count_points_every_flag and stalk_counts_every_flag classify every flag one
-by one, as perdom did before it classified one flag per Frobenius orbit.
+by one, as perdom did before it classified one flag per Frobenius orbit;
+count_points_every_flag also judges each flag through the induced type's
+Fraction degree, not count_points' integer scaled degree.
 """
 
 import math
@@ -21,7 +23,7 @@ from perdom.complexes import stalk_report
 from perdom.exactalg.rational import MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF, rref
 from perdom.flagenum import CountReport, enumerate_flags, rational_subspaces
-from perdom.slopes import induced_degree
+from perdom.slopes import induced_type
 
 _NP_LIMIT = 2**31  # residues below this keep every int64 product exact
 
@@ -125,7 +127,7 @@ def count_points_every_flag(g, family, p: int, n: int) -> CountReport:
     total = in_y = 0
     for flag in enumerate_flags(g, p, n):
         total += 1
-        if any(family.contains_degree(induced_degree(flag, u)) for u in subspaces):
+        if any(family.contains(induced_type(flag, u)) for u in subspaces):
             in_y += 1
     return CountReport(total=total, in_y=in_y, in_open=total - in_y)
 

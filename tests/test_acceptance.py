@@ -17,7 +17,7 @@ from perdom import cohomology as coh
 from perdom import flagenum
 from perdom.checks import CHECKS
 from perdom.cli import main as cli_main
-from perdom.slopes import ClosedFamily, delta_w, drinfeld, from_values
+from perdom.slopes import ClosedFamily, drinfeld, from_values
 from perdom.weyl import bruhat_leq, compose, identity, kostant_reps, length, simple_reflection
 
 SS = ClosedFamily.semistable()
@@ -120,7 +120,8 @@ def test_criterion_3_trace_consistency():
 
 
 def cohomological_degree(w, mu):
-    return 2 * length(w) + len(delta_w(w, mu, SS))
+    i_w = {v: iw for v, _lw, iw in coh.kostant_cells(mu, SS)}[w]
+    return 2 * length(w) + len(i_w.complement())
 
 
 def test_criterion_5_degree_reversal_pair():

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom.errors import ConfigError
-from perdom.exactalg.qcount import all_flag_points
+from perdom.exactalg.qcount import all_flag_points, q_multinomial
 from perdom.slopes import (
     ClosedFamily,
-    I_w,
-    delta_w,
     drinfeld,
     from_values,
+    parse_family,
     random_slope_function,
 )
 from perdom.weyl import (
@@ -32,6 +31,12 @@ from perdom.weyl import (
 
 F = Fraction
 SS = ClosedFamily.semistable()
+
+
+def deltas(mu) -> dict:
+    """Delta_w, the reflections outside I_w, of every Kostant representative,
+    as `kostant_cells` stores them."""
+    return {w: set(iw.complement()) for w, _lw, iw in coh.kostant_cells(mu, SS)}
 
 
 def test_dim_induced_examples():
@@ -198,13 +203,22 @@ def test_trace_predictions_examples():
         )
 
 
-def test_predicted_counts_sum_to_cell_total():
-    for values in ([1, -1], [2, 1, -3], [1, 1, -2], [1, 1, -1, -1]):
-        g = from_values(values)
-        for q in (2, 3):
-            for n in (1, 2):
-                op, cl, total = coh.predicted_counts(g, SS, q, n)
-                assert op + cl == total
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.sampled_from((2, 3, 5)),
+    st.integers(1, 4),
+    st.one_of(st.just("ss"), st.fractions(min_value=F(1, 4), max_value=12, max_denominator=4)),
+)
+def test_predicted_counts_sum_to_cell_total(seed, d, q, n, threshold):
+    # open plus closed traces are the sum of q^(n l(w)) over the Kostant
+    # representatives, which is the number of flags of type g over GF(q^n)
+    g = random_slope_function(random.Random(seed), d)
+    family = parse_family(threshold if threshold == "ss" else f"ge:{threshold}")
+    op, cl, total = coh.predicted_counts(g, family, q, n)
+    cells = sum(q ** (n * length(w)) for w in kostant_reps(g.mu))
+    assert op + cl == total == cells == q_multinomial(g.mults, q**n)
 
 
 @pytest.mark.parametrize(
@@ -277,11 +291,11 @@ def test_delta_shrinks_up_the_bruhat_order(d):
     for _ in range(2):
         g = random_slope_function(rng, d)
         reps = kostant_reps(g.mu)
-        deltas = {w: set(delta_w(w, g.mu, SS)) for w in reps}
+        delta = deltas(g.mu)
         for u in reps:
             for w in reps:
                 if bruhat_leq(u, w):
-                    assert deltas[w] <= deltas[u]
+                    assert delta[w] <= delta[u]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -289,14 +303,14 @@ def test_left_multiplication_monotonicity_and_length_bound(d):
     rng = random.Random(70 + d)
     for _ in range(2):
         g = random_slope_function(rng, d)
-        mu = g.mu
+        mu, cells = g.mu, deltas(g.mu)
         for w in kostant_reps(mu):
-            delta = set(delta_w(w, mu, SS))
+            delta = cells[w]
             assert len(set(range(1, d)) - delta) <= length(w)
             for i in range(1, d):
                 sw = compose(simple_reflection(i, d), w)
                 if is_kostant(sw, mu) and length(sw) == length(w) + 1:
-                    delta_sw = set(delta_w(sw, mu, SS))
+                    delta_sw = cells[sw]
                     assert delta_sw <= delta
                     assert delta - delta_sw <= {i}
 
@@ -304,8 +318,9 @@ def test_left_multiplication_monotonicity_and_length_bound(d):
 def test_length_bound_rank_six():
     rng = random.Random(606)
     g = random_slope_function(rng, 6)
+    delta = deltas(g.mu)
     for w in kostant_reps(g.mu):
-        assert len(set(range(1, 6)) - set(delta_w(w, g.mu, SS))) <= length(w)
+        assert len(set(range(1, 6)) - delta[w]) <= length(w)
 
 
 def test_omega_sets_nest_and_cap_at_all_reps():
@@ -314,8 +329,9 @@ def test_omega_sets_nest_and_cap_at_all_reps():
     assert set(full) == set(kostant_reps(g.mu))
     small = coh.omega_set(g, SS, ParabolicType.empty(3))
     assert set(small) <= set(full)
+    delta = deltas(g.mu)
     for w in small:
-        assert I_w(w, g.mu, SS).gens == ()
+        assert delta[w] == {1, 2}
 
 
 def test_table_json_shape_and_determinism():

@@ -10,6 +10,7 @@ from oracles import count_points_every_flag
 from perdom import cohomology as coh
 from perdom import flagenum
 from perdom.complexes import stalk_counts
+from perdom.exactalg.gf import FieldSpec
 from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
 from perdom.flagenum import (
     classification_tests,
@@ -175,9 +176,27 @@ def test_shared_meet_table_stays_within_its_bound(monkeypatch):
     assert len(flags) == report.total == flag_count(g, p, n)
     meets = flags[0].meets
     assert all(flag.meets is meets for flag in flags)
-    size = sum(dim != UNKNOWN for row in meets.values() for dim in row)
+    size = sum(dim != UNKNOWN for _images, row in meets.values() for dim in row)
     bound = sum(q_binomial(g.d, c, p**n) for c in g.cumulative_dims()[:-1]) * subspace_count(p, g.d)
     assert 0 < size <= bound
+
+
+def test_frobenius_images_are_computed_once_per_orbit(monkeypatch):
+    # the meet store files every image of a member basis at once, and
+    # flag_orbits reads them from there: (2,1,-3) over GF(2^n), n = 1..4, takes
+    # 606 Frobenius calls (2,578 when each basis's images were computed apart)
+    calls = []
+    frobenius = FieldSpec.frobenius
+
+    def counted(self, basis):
+        calls.append(basis)
+        return frobenius(self, basis)
+
+    monkeypatch.setattr(FieldSpec, "frobenius", counted)
+    g = from_values([2, 1, -3])
+    for n in range(1, 5):
+        assert count_points(g, SS, 2, n).total == flag_count(g, 2, n)
+    assert 0 < len(calls) <= 700
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,6 +224,8 @@ ORBIT_GRID = (
     + [((1, 1, -2), "ss", 3, n) for n in (1, 2, 3)]
     + [((1, -1), "ss", 2, n) for n in range(1, 7)]
     + [((3, 1, -1, -3), "ss", 2, n) for n in (1, 2)]
+    # fractional values: the integer scaled degree against the Fraction degree
+    + [((Fraction(3, 2), Fraction(1, 2), -2), "ge:1", 3, n) for n in (1, 2)]
 )
 
 

@@ -25,26 +25,26 @@ def test_rank_basics():
 
 def test_identity_complex_has_no_homology():
     m = matrix_from_rows([[1]])
-    c = chain_complex(0, (1, 1), (m,))
+    c = chain_complex((1, 1), (m,))
     assert c.homology_dims() == (0, 0)
 
 
 def test_kernel_dimension_complex():
     m = matrix_from_rows([[1, 1]])
-    c = chain_complex(0, (2, 1), (m,))
+    c = chain_complex((2, 1), (m,))
     assert c.homology_dims() == (1, 0)
 
 
 def test_composition_nonzero_is_trapped():
     a = matrix_from_rows([[1, 0], [0, 1]])
     with pytest.raises(InternalCheckError):
-        chain_complex(0, (2, 2, 2), (a, a))
+        chain_complex((2, 2, 2), (a, a))
 
 
 def test_shape_mismatch_rejected():
     a = matrix_from_rows([[1, 0]])
     with pytest.raises(ValueError):
-        chain_complex(0, (3, 1), (a,))
+        chain_complex((3, 1), (a,))
 
 
 def sparse_signed_matrix(rng):
@@ -115,15 +115,16 @@ def test_mat_mul_exact_paths_agree():
     assert big == matrix_from_rows([[-3 * 10**20, 10**21], [15 * 10**20, -6 * 10**20]])
 
 
-def euler_characteristic(complex_) -> int:
-    """Alternating sum of the term dimensions, term j in degree offset + j."""
-    return sum((-1) ** (complex_.offset + j) * dim for j, dim in enumerate(complex_.dims))
+def euler_characteristic(dims) -> int:
+    """Alternating sum of dimensions, term j in degree j - 1."""
+    return sum((-1) ** (j - 1) * dim for j, dim in enumerate(dims))
 
 
 def test_euler_characteristic_respects_offset():
+    # every complex starts in degree -1, for its terms and for its homology
     m = matrix_from_rows([[1, 1]])
-    c = chain_complex(-1, (2, 1), (m,))
-    assert euler_characteristic(c) == -2 + 1
+    c = chain_complex((2, 1), (m,))
+    assert euler_characteristic(c.dims) == -2 + 1 == euler_characteristic(c.homology_dims())
 
 
 def k_maps(d: int, q: int) -> list[tuple[dict, ...]]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import from_cycle, kernel_intersection
+from perdom.cohomology import kostant_cells
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
 from perdom.exactalg.subspaces import SubspaceGF, rref
@@ -14,11 +15,9 @@ from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
     ClosedFamily,
     FilteredSpace,
-    I_w,
     UNKNOWN,
     SlopeFunction,
     Subfunction,
-    delta_w,
     dominates,
     drinfeld,
     enumerate_B,
@@ -30,6 +29,7 @@ from perdom.slopes import (
     parse_family,
     parse_g_config,
     random_slope_function,
+    scaled_degrees,
     subfunction,
     validate,
 )
@@ -180,18 +180,16 @@ def test_kappa_on_random_cocharacters(seed):
         kappa(i, g.mu)
 
 
+def kostant_i_w(mu, family: ClosedFamily) -> dict:
+    """I_w of every Kostant representative, as `kostant_cells` stores it."""
+    return {w: iw for w, _lw, iw in kostant_cells(mu, family)}
+
+
 def test_I_w_rank_five_example():
-    mu = tuple(map(F, (4, 3, 2, 1, -10)))
-    ss = ClosedFamily.semistable()
-    assert delta_w(from_cycle(5, (2, 3, 4)), mu, ss) == (1, 2, 3, 4)
-    assert delta_w(from_cycle(5, (2, 3, 4, 5)), mu, ss) == (1,)
-    assert I_w(identity(5), mu, ss).gens == ()
-
-
-def test_I_w_requires_minimal_representative():
-    mu = (F(1), F(1), F(-2))
-    with pytest.raises(ConfigError):
-        I_w((2, 1, 3), mu, ClosedFamily.semistable())
+    i_w = kostant_i_w(tuple(map(F, (4, 3, 2, 1, -10))), ClosedFamily.semistable())
+    assert i_w[from_cycle(5, (2, 3, 4))].complement() == (1, 2, 3, 4)
+    assert i_w[from_cycle(5, (2, 3, 4, 5))].complement() == (1,)
+    assert i_w[identity(5)].gens == ()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -203,9 +201,11 @@ def test_I_w_matches_prefix_sum_formula(d):
     families.append(ClosedFamily(F(1), strict=True))
     for _ in range(3):
         g = random_slope_function(rng, d)
-        for w in kostant_reps(g.mu):
-            for family in families:
-                assert I_w(w, g.mu, family).gens == I_w_oracle(w, g.mu, family)
+        for family in families:
+            i_w = kostant_i_w(g.mu, family)
+            assert set(i_w) == set(kostant_reps(g.mu))
+            for w, iw in i_w.items():
+                assert iw.gens == I_w_oracle(w, g.mu, family)
 
 
 def test_family_membership_and_ss():
@@ -377,15 +377,21 @@ def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
     meets, field = flags[0].meets, flags[0].field
     assert all(flag.meets is meets for flag in flags)
     subs = rational_subspaces(p, g.d)
-    for basis, row in meets.items():
-        assert meets[field.frobenius(basis)] is row
+    for basis, (images, row) in meets.items():
+        # the images start at the key, each is the Frobenius of the one before,
+        # and each image's entry is the same orbit rotated, with the same row
+        assert len(images) == n and images[0] == basis
+        assert [field.frobenius(b) for b in images] == [*images[1:], basis]
+        for k, image in enumerate(images):
+            assert meets[image][0] == images[k:] + images[:k]
+            assert meets[image][1] is row
         assert len(row) == len(subs)
         member = SubspaceGF(field, g.d, basis)
         for u, dim in zip(subs, row):
             if dim != UNKNOWN:
                 uk = SubspaceGF.from_rows(field, g.d, u.basis)
                 assert kernel_intersection(uk, member).dim == dim
-    assert any(dim != UNKNOWN for row in meets.values() for dim in row)
+    assert any(dim != UNKNOWN for _images, row in meets.values() for dim in row)
 
 
 @pytest.mark.parametrize("filled", [False, True])
@@ -422,14 +428,20 @@ def test_non_rational_subspaces_are_refused(filled):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 4))
-def test_induced_degree_is_the_degree_of_the_induced_type(seed, d):
-    # random_slope_function shifts integers by their mean: fractional values
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 2))
+def test_induced_degree_is_the_degree_of_the_induced_type(seed, d, n):
+    # random_slope_function shifts integers by their mean: fractional values.
+    # Three routes to scale * deg U: the degree vector read from the filled
+    # rows, the per-subspace integer degree (on a fresh store, with its early
+    # exit) and the Fraction degree of the induced type
     rng = random.Random(seed)
     g = random_slope_function(rng, d)
-    flag = random_flag(rng, g, make_field(2, 2))
-    for u in rational_subspaces(2, d):
-        assert induced_degree(flag, u) == induced_type(flag, u).degree
+    flag = random_flag(rng, g, make_field(2, n))
+    fresh = dataclasses.replace(flag, meets={})
+    subs = rational_subspaces(2, d)
+    degrees = [induced_degree(fresh, u) for u in subs]
+    assert scaled_degrees(flag) == degrees
+    assert degrees == [g.scale * induced_type(flag, u).degree for u in subs]
 
 
 def test_random_slope_functions_are_admissible():

@@ -11,7 +11,8 @@ dimension; verify_K checks exactly that with exact rational ranks.
 The stalk machinery takes one flag, collects the rational subspaces whose
 induced type lies in the family, and checks that the order complex of that
 poset is acyclic, exhibiting the contraction U -> U + U0 predicted by the
-poset contraction criterion; stalk_counts runs it over every flag of a type.
+poset contraction criterion; stalk_counts runs it over every flag of a type
+that may lie on the closed stratum.
 """
 
 from __future__ import annotations
@@ -285,13 +286,15 @@ def stalk_counts(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> tupl
     """(flags, flags on the closed stratum, failed stalks) over every flag
     of type g over GF(p^n).  A flag's stalk depends only on the dims of its
     meets with rational subspaces, so one report per Frobenius orbit counts
-    for the whole orbit."""
+    for the whole orbit; the flags `flag_orbits` certifies off the closed
+    stratum have empty stalks, which pass."""
     flags = in_y = failed = 0
-    for flag, size in flag_orbits(g, p, n):
-        rep = stalk_report(flag, family)
+    for flag, size in flag_orbits(g, p, n, family):
         flags += size
-        in_y += size * rep.in_y
-        failed += size * (not rep.passed)
+        if flag is not None:
+            rep = stalk_report(flag, family)
+            in_y += size * rep.in_y
+            failed += size * (not rep.passed)
     return flags, in_y, failed
 
 

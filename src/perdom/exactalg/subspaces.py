@@ -175,29 +175,42 @@ def rational_positions(p: int, d: int) -> dict:
     return {u.basis: i for i, u in enumerate(rational_subspaces(p, d))}
 
 
-def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims):
+@lru_cache(maxsize=None)
+def _coordinate_rows(field: FieldSpec, m: int, k: int) -> tuple:
+    """Every reduced echelon basis of a k-subspace of field^m, built once."""
+    return tuple(_rref_rows(field, m, k))
+
+
+def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims, skip=None):
     """Chains of subspaces of the row space of span_rows, given in ambient
     coordinates, with prescribed increasing dims.  span_rows is reduced
     echelon, and a full-rank reduced echelon coordinate matrix times it is
-    again reduced echelon, so each member's basis is canonical as built."""
+    again reduced echelon, so each member's basis is canonical as built.
+    In the whole space the members are their own coordinate rows and stream
+    (at the field order bound there can be about 10^6 of them); inner levels
+    build their coordinate rows once per (field, m, k).  A member for which
+    skip(member) is true is left out with every chain under it."""
     if not dims:
         yield ()
         return
-    m = len(span_rows)
-    k = dims[-1]
-    for coord_rows in _rref_rows(field, m, k):
-        member = SubspaceGF(field, ambient_dim, mat_mul(field, coord_rows, span_rows))
-        for prefix in _chains_within(field, ambient_dim, member.basis, dims[:-1]):
-            yield prefix + (member,)
+    m, k = len(span_rows), dims[-1]
+    whole = m == ambient_dim
+    for coords in _rref_rows(field, m, k) if whole else _coordinate_rows(field, m, k):
+        basis = coords if whole else mat_mul(field, coords, span_rows)
+        member = SubspaceGF(field, ambient_dim, basis)
+        if skip is None or not skip(member):
+            for prefix in _chains_within(field, ambient_dim, member.basis, dims[:-1]):
+                yield prefix + (member,)
 
 
-def enumerate_chains(field: FieldSpec, d: int, dims: tuple[int, ...]):
+def enumerate_chains(field: FieldSpec, d: int, dims: tuple[int, ...], skip=None):
     """All chains W_1 < W_2 < ... of subspaces of field^d with the given
-    strictly increasing proper dimensions, each chain exactly once."""
+    strictly increasing proper dimensions, each chain exactly once; given
+    `skip`, without the chains under a largest member it is true for."""
     for dim in dims:
         if not 0 < dim < d:
             raise ConfigError(f"chain dimension {dim} must be proper in ambient {d}")
     if list(dims) != sorted(set(dims)):
         raise ConfigError("chain dimensions must be strictly increasing")
     full = SubspaceGF.full(field, d)
-    yield from _chains_within(field, d, full.basis, tuple(dims))
+    yield from _chains_within(field, d, full.basis, tuple(dims), skip)

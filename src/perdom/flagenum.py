@@ -1,9 +1,11 @@
 """Brute-force flag geometry over GF(p^n).
 
-Enumerates every flag of a prescribed type exactly once (canonical echelon
+Enumerates the flags of a prescribed type exactly once (canonical echelon
 chains, largest member first), classifies each against a degree-threshold
 family using all prime-field rational subspaces, one flag per Frobenius
-orbit, and reports exact counts.
+orbit, and reports exact counts.  Where the meet row of a flag's largest
+proper member bounds every rational degree below the family's threshold, the
+flags under that member are counted by a q-multinomial instead of built.
 flag_count and classification_tests price an enumeration without running it;
 callers compare that price against their work budget first.
 """
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from .exactalg.gf import check_field, make_field
 from .exactalg.qcount import capped, q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_subspaces
-from .slopes import ClosedFamily, FilteredSpace, SlopeFunction, induced_degree, meet_entry
+from .slopes import (
+    ClosedFamily, FilteredSpace, SlopeFunction, induced_degree, meet_dim, meet_entry,
+)
 
 
 @dataclass(frozen=True)
@@ -47,26 +51,72 @@ def classification_tests(g: SlopeFunction, p: int, n: int, cap=None):
     return capped(flags * subspaces, cap)
 
 
-def enumerate_flags(g: SlopeFunction, p: int, n: int):
+def enumerate_flags(g: SlopeFunction, p: int, n: int, skip=None):
     """Yield every flag of type g over GF(p^n) exactly once; all of them
-    share one table of meet dims."""
+    share one table of meet dims.  Given `skip`, each largest proper member W
+    is first passed to it as a head, FilteredSpace(W, whole space) on that
+    table, and the flags under a W for which skip is true are left out."""
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
     meets: dict = {}
-    for chain in enumerate_chains(field, g.d, proper_dims):
+    heads = None if skip is None else lambda top: skip(FilteredSpace(field, g, (top, full), meets))
+    for chain in enumerate_chains(field, g.d, proper_dims, heads):
         yield FilteredSpace(field, g, chain + (full,), meets)
 
 
-def flag_orbits(g: SlopeFunction, p: int, n: int):
+def _stable_tops(g: SlopeFunction, family: ClosedFamily, p: int, n: int, skipped: list):
+    """enumerate_flags' skip test: true when every flag under a largest
+    proper member W is off the closed stratum; None when no W can pass.
+    With m = dim(U (x) k meet W) from W's meet row, every flag under W has
+    scale * deg U <= top * dim U + w_{r-1} m + sum_{j<r-1} w_j min(m, c_j)
+    (jump weights w_j > 0, top = scale * v_r); W passes when that is below
+    the family's least scaled degree for every rational U.  The verdict is
+    made once per Frobenius orbit of W, and each W that passes adds its
+    q-multinomial of flags to skipped[0]."""
+    *weights, last, top = g.jump_weights
+    *inner, c = g.cumulative_dims()[:-1]
+    least = family.least_scaled_degree(g.scale)
+
+    def bound(dim, m):
+        return top * dim + last * m + sum(w * min(m, cj) for w, cj in zip(weights, inner))
+
+    # for each dim of U, the least meet with W at which U can reach `least`
+    need = {dim: next((m for m in range(min(dim, c) + 1) if bound(dim, m) >= least), None)
+            for dim in range(1, g.d)}
+    if 0 in need.values():  # such a U reaches it under every W
+        return None
+    tests = [(u, need[u.dim]) for u in rational_subspaces(p, g.d) if need[u.dim] is not None]
+    under = q_multinomial(g.mults[:-1], p**n)
+    verdicts: dict = {}  # keyed by W's basis, filed for all of its images at once
+
+    def stable(head: FilteredSpace) -> bool:
+        basis = head.members[0].basis
+        if basis not in verdicts:
+            verdict = all(meet_dim(head, 0, u) < m for u, m in tests)
+            verdicts.update(dict.fromkeys(meet_entry(head, basis)[0], verdict))
+        if verdicts[basis]:
+            skipped[0] += under
+        return verdicts[basis]
+
+    return stable
+
+
+def flag_orbits(g: SlopeFunction, p: int, n: int, family: ClosedFamily | None = None):
     """Yield (flag, orbit size) for one flag of each Frobenius orbit of the
     flags of type g over GF(p^n): the flag whose tuple of proper-member bases
     is least among its images under x -> x^p.  The Frobenius fixes every
     rational subspace, so dim(U meet F_j) is the same for all flags of an
     orbit and so is every verdict built from it.  Each member's images are
     read from the meet store (`meet_entry`), which computes them once per
-    enumeration.  At n = 1 it is the identity: every flag, size 1."""
-    for flag in enumerate_flags(g, p, n):
+    enumeration.  At n = 1 it is the identity: every flag, size 1.
+    Given a family, and where g has at least two proper members, the flags
+    under a largest proper member whose meet row shows them all off the
+    family's closed stratum (`_stable_tops`) are not built; they come last,
+    as one (None, their number)."""
+    skipped = [0]
+    stable = None if family is None or len(g.pairs) < 3 else _stable_tops(g, family, p, n, skipped)
+    for flag in enumerate_flags(g, p, n, stable):
         columns = [meet_entry(flag, m.basis)[0] for m in flag.members[:-1]]
         key = tuple(column[0] for column in columns)
         for size in range(1, n + 1):  # the n-th image is the flag itself
@@ -75,18 +125,21 @@ def flag_orbits(g: SlopeFunction, p: int, n: int):
                 break
         if image == key:
             yield flag, size
+    if skipped[0]:
+        yield None, skipped[0]
 
 
 def count_points(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> CountReport:
     """Classify one flag of each Frobenius orbit of type g over GF(p^n)
     against the family, weighted by the orbit size.  A flag is unstable when
-    some rational U has scale * deg U at least the family's scaled threshold."""
+    some rational U has scale * deg U at least the family's scaled threshold;
+    the flags `flag_orbits` certifies count as stable without a test."""
     subspaces = rational_subspaces(p, g.d)
     least = family.least_scaled_degree(g.scale)
     total = 0
     in_y = 0
-    for flag, size in flag_orbits(g, p, n):
+    for flag, size in flag_orbits(g, p, n, family):
         total += size
-        if any(induced_degree(flag, u) >= least for u in subspaces):
+        if flag is not None and any(induced_degree(flag, u) >= least for u in subspaces):
             in_y += size
     return CountReport(total=total, in_y=in_y, in_open=total - in_y)

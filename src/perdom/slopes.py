@@ -335,7 +335,9 @@ class FilteredSpace:
     meets, since the dim depends only on the pair.  A rational U is fixed by
     the Frobenius, so dim(U meet W) = dim(U meet sigma(W)): a member's images
     share its row, and at n = 1, where every member is itself rational, one
-    intersection fills dim(U meet W) in W's row and in U's.
+    intersection fills dim(U meet W) in W's row and in U's.  A head, whose
+    members are only a largest proper member W and the whole space, is read
+    through `meet_dim` alone, before any flag under W is built.
     """
 
     field: FieldSpec
@@ -355,12 +357,12 @@ class FilteredSpace:
 
     @cached_property
     def mirrors(self):
-        """At n = 1: (member dims, the position of each proper member);
-        otherwise None."""
+        """At n = 1: (the proper member dims of the slope's type, which a
+        head lacks, and the position of each proper member); otherwise None."""
         if self.field.n > 1:
             return None
-        proper = self.members[:-1]
-        return {m.dim for m in proper}, tuple(self.positions[m.basis] for m in proper)
+        positions = tuple(self.positions[m.basis] for m in self.members[:-1])
+        return set(self.slope.cumulative_dims()[:-1]), positions
 
 
 def meet_entry(flag: FilteredSpace, basis) -> tuple[tuple, bytearray]:
@@ -389,6 +391,19 @@ def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
         meet_entry(flag, u.basis)[1][mirrors[1][j]] = meet
 
 
+def meet_dim(flag: FilteredSpace, j: int, u: SubspaceGF) -> int:
+    """dim(U (x) k meet members[j]) for a proper nonzero rational U, read
+    from the meet row or filled there by one intersection."""
+    i = flag.positions[u.basis]
+    meet = flag.rows[j][i]
+    if meet == UNKNOWN:
+        # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
+        member = flag.members[j]
+        meet = SubspaceGF(flag.field, member.ambient_dim, u.basis).intersect(member).dim
+        _store(flag, j, u, i, meet)
+    return meet
+
+
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     """Jump dims of u against the flag: dim(U meet F_j) - dim(U meet F_{j-1}).
     U must be a nonzero subspace of GF(p)^d, given over GF(p); anything else
@@ -410,9 +425,7 @@ def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     while j and dim:
         meet = rows[j - 1][i]
         if meet == UNKNOWN:
-            # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
-            meet = SubspaceGF(field, d, u.basis).intersect(flag.members[j - 1]).dim
-            _store(flag, j - 1, u, i, meet)
+            meet = meet_dim(flag, j - 1, u)
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim

@@ -9,7 +9,8 @@ containment_by_sum is the containment test perdom used before it reduced
 rows against the echelon basis: A lies in B iff A + B is B.
 matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
 count_points_every_flag and stalk_counts_every_flag classify every flag one
-by one, as perdom did before it classified one flag per Frobenius orbit;
+by one, as perdom did before it classified one flag per Frobenius orbit and
+counted the flags under a certified largest member without building them;
 count_points_every_flag also judges each flag through the induced type's
 Fraction degree, not count_points' integer scaled degree.
 """

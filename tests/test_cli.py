@@ -72,6 +72,13 @@ def test_zeta_consistency_and_jobs_equivalence(tmp_path, capsys):
     assert payload["pass"] is True
 
 
+def test_a_type_with_no_proper_member_passes(capsys):
+    # one value: the whole space is the only flag, and it is open
+    code, out, err = run(capsys, "zeta", "--g", "0,0", "--q", "2", "--n", "1..2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"n={n}: open 1/1 closed 0/0 total 1/1 [ok]" for n in (1, 2)]
+
+
 def test_zeta_budget_exit(capsys, monkeypatch):
     code, _, err = run(
         capsys, "zeta", "--g", "2,1,-3", "--q", "2", "--n", "3", "--budget", "10"

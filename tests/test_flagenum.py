@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import count_points_every_flag
+from oracles import count_points_every_flag, stalk_counts_every_flag
 from perdom import cohomology as coh
-from perdom import flagenum
+from perdom import complexes, flagenum
 from perdom.complexes import stalk_counts
 from perdom.exactalg.gf import FieldSpec
 from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
 from perdom.flagenum import (
+    CountReport,
     classification_tests,
     count_points,
     enumerate_flags,
@@ -162,18 +163,19 @@ def test_capped_prices_are_exact_up_to_the_cap(data):
 
 
 def test_shared_meet_table_stays_within_its_bound(monkeypatch):
-    # one table per enumeration, one filled entry per (proper member, rational subspace)
+    # one table per enumeration, one filled entry per (proper member, rational
+    # subspace); the flags under a certified largest member are not built
     g, p, n = from_values([2, 1, -3]), 2, 4
     flags = []
 
-    def recording(*args):
-        for flag in enumerate_flags(*args):
+    def recording(*args, **kwargs):
+        for flag in enumerate_flags(*args, **kwargs):
             flags.append(flag)
             yield flag
 
     monkeypatch.setattr(flagenum, "enumerate_flags", recording)
     report = count_points(g, SS, p, n)
-    assert len(flags) == report.total == flag_count(g, p, n)
+    assert len(flags) < report.total == flag_count(g, p, n)
     meets = flags[0].meets
     assert all(flag.meets is meets for flag in flags)
     size = sum(dim != UNKNOWN for _images, row in meets.values() for dim in row)
@@ -226,6 +228,13 @@ ORBIT_GRID = (
     + [((3, 1, -1, -3), "ss", 2, n) for n in (1, 2)]
     # fractional values: the integer scaled degree against the Fraction degree
     + [((Fraction(3, 2), Fraction(1, 2), -2), "ge:1", 3, n) for n in (1, 2)]
+    # with flags off the closed stratum, some largest members are certified
+    # and the flags under them not built: (2,1,-3) from n = 3 on and
+    # (3,1,-1,-3) at n = 2; (2,1,-3) at q = 3, n = 2 and (2,2,-1,-3) at
+    # n <= 2 have none
+    + [((2, 1, -3), family, 2, 5) for family in ("ss", "ge:1")]
+    + [((2, 1, -3), "ss", 3, 2)]
+    + [((2, 2, -1, -3), "ss", 2, n) for n in (1, 2)]
 )
 
 
@@ -233,6 +242,7 @@ ORBIT_GRID = (
 def test_orbit_counts_equal_every_flag_counts(values, family, p, n):
     g, fam = from_values(values), parse_family(family)
     assert count_points(g, fam, p, n) == count_points_every_flag(g, fam, p, n)
+    assert stalk_counts(g, fam, p, n) == stalk_counts_every_flag(g, fam, p, n)
 
 
 @pytest.mark.parametrize("values,p,n", [((2, 1, -3), 2, 2), ((2, 1, -3), 2, 3), ((1, -1), 2, 6),
@@ -257,3 +267,60 @@ def test_flag_orbits_partition_the_flags(values, p, n):
 def test_base_field_orbits_are_single_flags():
     g = from_values([3, 1, -1, -3])
     assert [size for _, size in flag_orbits(g, 2, 1)] == [1] * flag_count(g, 2, 1)
+
+
+def test_only_planes_holding_a_rational_line_are_expanded(monkeypatch):
+    # (2,1,-3) over GF(16), ss threshold 1: under a plane W, a rational line
+    # in W can reach scale * deg U = 2 and a rational W itself 3, while every
+    # other rational U stays at most -1; so of the 273 planes only the 105
+    # holding a rational line (7 lines in 17 planes each, the 7 rational
+    # planes counted thrice) have their 17 flags built
+    g, p, n = from_values([2, 1, -3]), 2, 4
+    built = []
+
+    def recording(*args, **kwargs):
+        for flag in enumerate_flags(*args, **kwargs):
+            built.append(flag)
+            yield flag
+
+    monkeypatch.setattr(flagenum, "enumerate_flags", recording)
+    assert count_points(g, SS, p, n) == CountReport(total=4641, in_y=1785, in_open=2856)
+    assert len(built) == 105 * 17 < flag_count(g, p, n) == 273 * 17
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_a_type_with_no_proper_member_has_one_flag_off_the_closed_stratum(n):
+    g = from_values([0, 0])
+    assert g.cumulative_dims()[:-1] == ()
+    assert count_points(g, SS, 2, n) == CountReport(total=1, in_y=0, in_open=1)
+    assert stalk_counts(g, SS, 2, n) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("values,family,p,n", [
+    *(((2, 1, -3), "ss", 2, n) for n in (1, 2, 3)),
+    ((2, 1, -3), "ge:1", 2, 3),
+    ((1, -1), "ss", 2, 3),
+    ((1, 1, -2), "ss", 3, 2),
+    ((3, 1, -1, -3), "ss", 2, 1),
+])
+def test_induced_calls_stay_within_the_priced_tests(monkeypatch, values, family, p, n):
+    # the budget gate prices flags times rational subspaces; the per-subspace
+    # degree and type calls of count_points and stalk_counts stay within it
+    g, fam = from_values(values), parse_family(family)
+    calls = []
+
+    def counted(fn):
+        def wrapper(flag, u):
+            calls.append(u)
+            return fn(flag, u)
+        return wrapper
+
+    for module, name in ((flagenum, "induced_degree"), (complexes, "induced_type"),
+                         (complexes, "induced_degree")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    price = classification_tests(g, p, n)
+    count_points(g, fam, p, n)
+    assert 0 < len(calls) <= price
+    calls.clear()
+    stalk_counts(g, fam, p, n)
+    assert len(calls) <= price

@@ -12,13 +12,13 @@ counts and their Moebius inversion; complexes checks them by exact rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import require_prime
 from .exactalg.qcount import q_multinomial
+from .records import Record
 from .slopes import ClosedFamily, SlopeFunction, outside_family
 from .weyl import ParabolicType, Perm, act, kostant_reps, length
 
@@ -26,12 +26,11 @@ INDUCED = "induced"
 STEINBERG_QUOTIENT = "steinberg_quotient"
 
 
-@dataclass(frozen=True)
-class RepLabel:
+class RepLabel(Record):
     """i^G_P (induced) or v^G_P (steinberg_quotient) for a standard parabolic."""
 
-    kind: str
-    parabolic: ParabolicType
+    def __init__(self, kind: str, parabolic: ParabolicType):
+        self.__dict__.update(kind=kind, parabolic=parabolic)
 
 
 def rep_label(kind: str, parabolic: ParabolicType) -> RepLabel:
@@ -77,23 +76,17 @@ def rep_dim(rep: RepLabel, q: int) -> int:
     return dim_v(rep.parabolic, q)
 
 
-@dataclass(frozen=True)
-class CohEntry:
-    w: Perm
-    length: int
-    i_w: ParabolicType
-    delta: tuple[int, ...]
-    degree: int
-    twist: int
-    rep: RepLabel
+class CohEntry(Record):
+    def __init__(self, w: Perm, length: int, i_w: ParabolicType, delta: tuple[int, ...],
+                 degree: int, twist: int, rep: RepLabel):
+        self.__dict__.update(w=w, length=length, i_w=i_w, delta=delta, degree=degree,
+                             twist=twist, rep=rep)
 
 
-@dataclass(frozen=True)
-class CohTable:
-    variant: str  # "open" | "closed"
-    g: SlopeFunction
-    family: ClosedFamily
-    entries: tuple[CohEntry, ...]
+class CohTable(Record):
+    def __init__(self, variant: str, g: SlopeFunction, family: ClosedFamily,
+                 entries: tuple[CohEntry, ...]):
+        self.__dict__.update(variant=variant, g=g, family=family, entries=entries)
 
     def max_degree(self) -> int:
         return max((e.degree for e in self.entries), default=-1)
@@ -166,11 +159,9 @@ def trace_prediction(table: CohTable, q: int, n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    ok: bool
-    expected_degree: int
-    failures: tuple[str, ...]
+class VanishingReport(Record):
+    def __init__(self, ok: bool, expected_degree: int, failures: tuple[str, ...]):
+        self.__dict__.update(ok=ok, expected_degree=expected_degree, failures=failures)
 
 
 def vanishing_check(table: CohTable) -> VanishingReport:

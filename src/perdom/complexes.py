@@ -17,7 +17,6 @@ that may lie on the closed stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 
@@ -28,6 +27,7 @@ from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_positions, rational_subspaces
 from .flagenum import enumerate_flags, flag_orbits
+from .records import Record
 from .slopes import (
     ClosedFamily,
     FilteredSpace,
@@ -144,14 +144,11 @@ def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ
     return chain_complex(dims, maps)
 
 
-@dataclass(frozen=True)
-class KComplexReport:
-    i0: ParabolicType
-    q: int
-    dims: tuple[int, ...]
-    homology: tuple[int, ...]
-    expected_top: int
-    passed: bool
+class KComplexReport(Record):
+    def __init__(self, i0: ParabolicType, q: int, dims: tuple[int, ...],
+                 homology: tuple[int, ...], expected_top: int, passed: bool):
+        self.__dict__.update(i0=i0, q=q, dims=dims, homology=homology,
+                             expected_top=expected_top, passed=passed)
 
     def as_json(self) -> dict:
         return {
@@ -266,11 +263,9 @@ def quillen_witness(verts: tuple[int, ...], flag: FilteredSpace, family: ClosedF
     return True
 
 
-@dataclass(frozen=True)
-class StalkReport:
-    in_y: bool
-    homology: tuple[int, ...]
-    passed: bool
+class StalkReport(Record):
+    def __init__(self, in_y: bool, homology: tuple[int, ...], passed: bool):
+        self.__dict__.update(in_y=in_y, homology=homology, passed=passed)
 
 
 def stalk_report(flag: FilteredSpace, family: ClosedFamily) -> StalkReport:

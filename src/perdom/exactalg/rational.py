@@ -9,9 +9,9 @@ every arithmetic step is exact; no floating point anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import InternalCheckError
+from ..records import Record
 
 
 def _primitive(row: dict) -> dict:
@@ -67,13 +67,11 @@ def rational_rank(rows) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class MatrixQ:
+class MatrixQ(Record):
     """Immutable exact matrix as sparse rows {column: nonzero int or Fraction}."""
 
-    rows: int
-    cols: int
-    entries: tuple[dict, ...]
+    def __init__(self, rows: int, cols: int, entries: tuple[dict, ...]):
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     def rank(self) -> int:
         return rational_rank(self.entries)
@@ -96,8 +94,7 @@ def mat_mul_exact(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     return MatrixQ(a.rows, b.cols, tuple(out))
 
 
-@dataclass(frozen=True)
-class ChainComplexQ:
+class ChainComplexQ(Record):
     """A finite cochain complex of exact matrices.
 
     Term j has dimension dims[j] and sits in degree j - 1; maps[j]
@@ -106,8 +103,8 @@ class ChainComplexQ:
     compose to zero.
     """
 
-    dims: tuple[int, ...]
-    maps: tuple[MatrixQ, ...]
+    def __init__(self, dims: tuple[int, ...], maps: tuple[MatrixQ, ...]):
+        self.__dict__.update(dims=dims, maps=maps)
 
     def homology_dims(self) -> tuple[int, ...]:
         ranks = [m.rank() for m in self.maps]

@@ -8,11 +8,11 @@ exactly once without deduplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
 from ..errors import ConfigError
+from ..records import Record, setfield
 from .gf import FieldSpec, make_field
 from .qcount import q_binomial
 
@@ -68,13 +68,13 @@ def mat_mul(field: FieldSpec, a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubspaceGF:
+class SubspaceGF(Record):
     """A subspace of GF(q)^d in canonical (reduced echelon) form."""
 
-    field: FieldSpec
-    ambient_dim: int
-    basis: tuple[tuple[int, ...], ...]
+    def __init__(self, field: FieldSpec, ambient_dim: int, basis: tuple[tuple[int, ...], ...]):
+        setfield(self, "field", field)
+        setfield(self, "ambient_dim", ambient_dim)
+        setfield(self, "basis", basis)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, ambient_dim: int, rows) -> "SubspaceGF":

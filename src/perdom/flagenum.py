@@ -13,21 +13,19 @@ callers compare that price against their work budget first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exactalg.gf import check_field, make_field
 from .exactalg.qcount import capped, q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_subspaces
+from .records import Record
 from .slopes import (
     ClosedFamily, FilteredSpace, SlopeFunction, induced_degree, meet_dim, meet_entry,
 )
 
 
-@dataclass(frozen=True)
-class CountReport:
-    total: int
-    in_y: int
-    in_open: int
+class CountReport(Record):
+    def __init__(self, total: int, in_y: int, in_open: int):
+        self.__dict__.update(total=total, in_y=in_y, in_open=in_open)
 
 
 def flag_count(g: SlopeFunction, p: int, n: int, cap=None):

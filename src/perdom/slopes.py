@@ -13,9 +13,7 @@ they are stored as a threshold plus a strictness flag.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations
@@ -25,15 +23,15 @@ from operator import mul
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import FieldSpec
 from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
+from .records import Record
 from .weyl import Perm, ParabolicType, act, bruhat_leq, double_coset_reps
 
 
-@dataclass(frozen=True)
-class SlopeFunction:
+class SlopeFunction(Record):
     """Pairs (value, multiplicity), values strictly decreasing."""
 
-    pairs: tuple[tuple[Fraction, int], ...]
-    _types: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, pairs: tuple[tuple[Fraction, int], ...]):
+        self.__dict__.update(pairs=pairs, _types={})
 
     @property
     def d(self) -> int:
@@ -184,11 +182,11 @@ def parse_g_config(data) -> SlopeFunction:
     return validate(pairs)
 
 
-@dataclass(frozen=True)
-class Subfunction:
+class Subfunction(Record):
     """A multiset of slope values, stored sorted decreasing."""
 
-    values: tuple[Fraction, ...]
+    def __init__(self, values: tuple[Fraction, ...]):
+        self.__dict__.update(values=values)
 
     @property
     def length(self) -> int:
@@ -220,14 +218,13 @@ def enumerate_B(g: SlopeFunction, i: int) -> tuple[Subfunction, ...]:
     return tuple(sorted(seen, key=lambda h: h.values, reverse=True))
 
 
-@dataclass(frozen=True)
-class ClosedFamily:
+class ClosedFamily(Record):
     """Degree-threshold family: h belongs iff deg h > threshold (strict)
     or deg h >= threshold (non-strict).  Membership depends only on the
     degree, which is what makes the family closed."""
 
-    threshold: Fraction
-    strict: bool
+    def __init__(self, threshold: Fraction, strict: bool):
+        self.__dict__.update(threshold=threshold, strict=strict)
 
     @classmethod
     def semistable(cls) -> "ClosedFamily":
@@ -322,8 +319,7 @@ def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
 UNKNOWN = 255  # a meet-row entry not computed yet; a dim never reaches it
 
 
-@dataclass(frozen=True)
-class FilteredSpace:
+class FilteredSpace(Record):
     """A flag of type g over an extension field.
 
     members[j] realizes the filtration step at the j-th largest slope value;
@@ -340,10 +336,13 @@ class FilteredSpace:
     through `meet_dim` alone, before any flag under W is built.
     """
 
-    field: FieldSpec
-    slope: SlopeFunction
-    members: tuple[SubspaceGF, ...]
-    meets: dict = dataclasses.field(default_factory=dict, compare=False, repr=False)
+    _fields = ("field", "slope", "members")
+
+    def __init__(self, field: FieldSpec, slope: SlopeFunction,
+                 members: tuple[SubspaceGF, ...], meets: dict | None = None):
+        # not `meets or {}`: an enumeration's shared store starts out empty
+        self.__dict__.update(field=field, slope=slope, members=members,
+                             meets={} if meets is None else meets)
 
     @cached_property
     def positions(self) -> dict:

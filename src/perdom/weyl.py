@@ -13,12 +13,12 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import ConfigError
+from .records import Record, setfield
 
 Perm = tuple[int, ...]
 Cocharacter = tuple[Fraction, ...]
@@ -85,12 +85,21 @@ def act(w: Perm, mu) -> tuple:
     return tuple(mu[inv[k] - 1] for k in range(len(mu)))
 
 
-@dataclass(frozen=True)
-class ParabolicType:
+class ParabolicType(Record):
     """A subset of the simple reflections s_1..s_{d-1} (1-based indices)."""
 
-    d: int
-    gens: tuple[int, ...]
+    def __init__(self, d: int, gens: tuple[int, ...]):
+        setfield(self, "d", d)
+        setfield(self, "gens", gens)
+
+    # the cache key of dim_v and dim_induced: a field tuple beats Record's attrgetter
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.d, self.gens) == (other.d, other.gens)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.gens))
 
     @classmethod
     def from_gens(cls, d: int, gens) -> "ParabolicType":

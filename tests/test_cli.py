@@ -494,21 +494,49 @@ def test_missing_subcommand_exits_two(capsys):
     assert main([]) == 2
 
 
+# runs the CLI, then prints as the last stderr line the perdom modules it
+# loaded and whether it loaded dataclasses, and exits with the CLI's code
+LOADED_MODULES = (
+    "import sys\n"
+    "from perdom import cli\n"
+    "try:\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'perdom')\n"
+    "print(' '.join(mods), 'dataclasses' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
 def test_help_loads_no_layer_module():
     # the CLI imports each layer inside the commands that use it
-    script = (
-        "import sys\n"
-        "from perdom import cli\n"
-        "try:\n"
-        "    cli.main(['--help'])\n"
-        "except SystemExit:\n"
-        "    pass\n"
-        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'perdom')\n"
-        "print(' '.join(mods), 'dataclasses' in sys.modules, file=sys.stderr)\n"
-    )
-    code, out, err = run_bounded([], script)
+    code, out, err = run_bounded(["--help"], LOADED_MODULES)
     assert code == 0 and "usage: perdom" in out
     assert err.split() == ["perdom", "perdom.cli", "perdom.errors", "False"]
+
+
+FORMULA_LAYERS = (
+    "perdom", "perdom.cli", "perdom.cohomology", "perdom.errors", "perdom.exactalg",
+    "perdom.exactalg.gf", "perdom.exactalg.qcount", "perdom.exactalg.subspaces",
+    "perdom.records", "perdom.slopes", "perdom.weyl",
+)
+COMPLEX_LAYERS = (*FORMULA_LAYERS, "perdom.complexes", "perdom.exactalg.rational", "perdom.flagenum")
+
+
+@pytest.mark.parametrize("argv,modules", [
+    ("table --drinfeld 3 --q 2 --n 1..2", FORMULA_LAYERS),
+    ("zeta --g 2,1,-3 --q 2 --n 1", (*FORMULA_LAYERS, "perdom.flagenum")),
+    ("stalk --g 2,1,-3 --q 2 --n 1", COMPLEX_LAYERS),
+    ("kcomplex --d 3 --q 2", (*COMPLEX_LAYERS, "perdom.checks")),
+    ("dims --d 3 --q 2", COMPLEX_LAYERS),
+    ("verify-all --quick", (*COMPLEX_LAYERS, "perdom.checks")),
+], ids=["table", "zeta", "stalk", "kcomplex", "dims", "verify-all"])
+def test_commands_load_their_layers_without_dataclasses(argv, modules):
+    # records are plain classes: no command pays for importing dataclasses
+    code, _, err = run_bounded(argv.split(), LOADED_MODULES)
+    assert code == 0
+    assert err.splitlines()[-1].split() == [*sorted(modules), "False"]
 
 
 def test_drinfeld_and_g_conflict(capsys):

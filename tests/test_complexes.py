@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from perdom.flagenum import enumerate_flags
 from perdom.slopes import (
     UNKNOWN,
     ClosedFamily,
+    FilteredSpace,
     drinfeld,
     from_values,
     induced_type,
@@ -285,7 +285,7 @@ def test_stalk_degree_vectors_equal_per_subspace_types(values, family, p, n):
     g, family = from_values(values), parse_family(family)
     subs = rational_subspaces(p, g.d)
     for flag in enumerate_flags(g, p, n):
-        fresh = dataclasses.replace(flag, meets={})
+        fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
         expected = tuple(i for i, u in enumerate(subs) if family.contains(induced_type(flag, u)))
         assert cx.build_stalk(fresh, family) == expected
         assert cx.build_stalk(flag, family) == expected

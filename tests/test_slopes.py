@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -358,7 +357,7 @@ def test_shared_meet_table_does_not_depend_on_visiting_order(values, p, n):
     flags = list(enumerate_flags(g, p, n))
     assert flags[0].meets is flags[-1].meets
     for flag in reversed(flags):
-        fresh = dataclasses.replace(flag, meets={})
+        fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
         for u in rational_subspaces(p, g.d):
             assert induced_type(flag, u) == induced_type(fresh, u)
 
@@ -392,6 +391,21 @@ def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
                 uk = SubspaceGF.from_rows(field, g.d, u.basis)
                 assert kernel_intersection(uk, member).dim == dim
     assert any(dim != UNKNOWN for _images, row in meets.values() for dim in row)
+
+
+@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 2), ([1, 1, -2], 2, 1)])
+def test_one_enumeration_shares_one_store_from_the_start(values, p, n):
+    # the store is still empty when the first head and flag take it, so a
+    # flag must keep the dict it is given: `meets or {}` would unshare it
+    g = from_values(values)
+    heads = []
+    flags = list(enumerate_flags(g, p, n, skip=heads.append))
+    meets = flags[0].meets
+    assert meets == {} and len(heads) > 1
+    assert all(space.meets is meets for space in flags + heads)
+    fresh = [FilteredSpace(flags[0].field, g, flags[0].members) for _ in range(2)]
+    assert fresh[0].meets == {} and fresh[0].meets is not fresh[1].meets
+    assert all(space.meets is not meets for space in fresh)
 
 
 @pytest.mark.parametrize("filled", [False, True])
@@ -437,7 +451,7 @@ def test_induced_degree_is_the_degree_of_the_induced_type(seed, d, n):
     rng = random.Random(seed)
     g = random_slope_function(rng, d)
     flag = random_flag(rng, g, make_field(2, n))
-    fresh = dataclasses.replace(flag, meets={})
+    fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
     subs = rational_subspaces(2, d)
     degrees = [induced_degree(fresh, u) for u in subs]
     assert scaled_degrees(flag) == degrees

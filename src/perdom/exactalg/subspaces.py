@@ -181,15 +181,17 @@ def _coordinate_rows(field: FieldSpec, m: int, k: int) -> tuple:
     return tuple(_rref_rows(field, m, k))
 
 
-def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims, skip=None):
+def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims, expand=None, state=None):
     """Chains of subspaces of the row space of span_rows, given in ambient
-    coordinates, with prescribed increasing dims.  span_rows is reduced
-    echelon, and a full-rank reduced echelon coordinate matrix times it is
-    again reduced echelon, so each member's basis is canonical as built.
-    In the whole space the members are their own coordinate rows and stream
-    (at the field order bound there can be about 10^6 of them); inner levels
-    build their coordinate rows once per (field, m, k).  A member for which
-    skip(member) is true is left out with every chain under it."""
+    coordinates, with prescribed increasing dims, largest member first.
+    span_rows is reduced echelon, and a full-rank reduced echelon coordinate
+    matrix times it is again reduced echelon, so each member's basis is
+    canonical as built.  In the whole space the members are their own
+    coordinate rows and stream (at the field order bound there can be about
+    10^6 of them); inner levels build their coordinate rows once per
+    (field, m, k).  Given `expand`, expand(member, state) gets the state of
+    the node above and returns the state for the members below, or None to
+    leave out every chain through the member."""
     if not dims:
         yield ()
         return
@@ -198,19 +200,21 @@ def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims, skip=Non
     for coords in _rref_rows(field, m, k) if whole else _coordinate_rows(field, m, k):
         basis = coords if whole else mat_mul(field, coords, span_rows)
         member = SubspaceGF(field, ambient_dim, basis)
-        if skip is None or not skip(member):
-            for prefix in _chains_within(field, ambient_dim, member.basis, dims[:-1]):
+        below = state if expand is None else expand(member, state)
+        if expand is None or below is not None:
+            for prefix in _chains_within(field, ambient_dim, basis, dims[:-1], expand, below):
                 yield prefix + (member,)
 
 
-def enumerate_chains(field: FieldSpec, d: int, dims: tuple[int, ...], skip=None):
+def enumerate_chains(field: FieldSpec, d: int, dims: tuple[int, ...], expand=None):
     """All chains W_1 < W_2 < ... of subspaces of field^d with the given
     strictly increasing proper dimensions, each chain exactly once; given
-    `skip`, without the chains under a largest member it is true for."""
+    `expand`, only those through members it returns a state for (see
+    `_chains_within`; a largest member gets state None)."""
     for dim in dims:
         if not 0 < dim < d:
             raise ConfigError(f"chain dimension {dim} must be proper in ambient {d}")
     if list(dims) != sorted(set(dims)):
         raise ConfigError("chain dimensions must be strictly increasing")
     full = SubspaceGF.full(field, d)
-    yield from _chains_within(field, d, full.basis, tuple(dims), skip)
+    yield from _chains_within(field, d, full.basis, tuple(dims), expand)

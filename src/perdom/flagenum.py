@@ -1,11 +1,11 @@
 """Brute-force flag geometry over GF(p^n).
 
 Enumerates the flags of a prescribed type exactly once (canonical echelon
-chains, largest member first), classifies each against a degree-threshold
-family using all prime-field rational subspaces, one flag per Frobenius
-orbit, and reports exact counts.  Where the meet row of a flag's largest
-proper member bounds every rational degree below the family's threshold, the
-flags under that member are counted by a q-multinomial instead of built.
+chains, largest member first), classifies one flag per Frobenius orbit,
+picked member by member on the walk, against a degree-threshold family by
+all prime-field rational subspaces, and reports exact counts.  Where the
+meet row of a largest proper member bounds every rational degree below the
+threshold, the flags under it are counted by a q-multinomial, not built.
 flag_count and classification_tests price an enumeration without running it;
 callers compare that price against their work budget first.
 """
@@ -49,29 +49,34 @@ def classification_tests(g: SlopeFunction, p: int, n: int, cap=None):
     return capped(flags * subspaces, cap)
 
 
-def enumerate_flags(g: SlopeFunction, p: int, n: int, skip=None):
-    """Yield every flag of type g over GF(p^n) exactly once; all of them
-    share one table of meet dims.  Given `skip`, each largest proper member W
-    is first passed to it as a head, FilteredSpace(W, whole space) on that
-    table, and the flags under a W for which skip is true are left out."""
+def enumerate_flags(g: SlopeFunction, p: int, n: int, expand=None):
+    """Yield every flag of type g over GF(p^n) exactly once, walking its
+    chains of proper members from the largest down; all of them share one
+    table of meet dims.  Given `expand`, each member W the walk reaches is
+    first passed to it as a head, FilteredSpace(W, whole space) on that
+    table, with the state of the node above W (None for a largest proper
+    member); it returns the state for the members under W, or None to leave
+    out every flag through W."""
     field = make_field(p, n)
     proper_dims = g.cumulative_dims()[:-1]
     full = SubspaceGF.full(field, g.d)
     meets: dict = {}
-    heads = None if skip is None else lambda top: skip(FilteredSpace(field, g, (top, full), meets))
+    heads = None if expand is None else (
+        lambda member, state: expand(FilteredSpace(field, g, (member, full), meets), state))
     for chain in enumerate_chains(field, g.d, proper_dims, heads):
         yield FilteredSpace(field, g, chain + (full,), meets)
 
 
 def _stable_tops(g: SlopeFunction, family: ClosedFamily, p: int, n: int, skipped: list):
-    """enumerate_flags' skip test: true when every flag under a largest
-    proper member W is off the closed stratum; None when no W can pass.
+    """flag_orbits' test of a largest proper member W, which it reaches once
+    per Frobenius orbit of W: stable(head, orbit size) is true when every
+    flag under W is off the closed stratum; None when no W can pass.
     With m = dim(U (x) k meet W) from W's meet row, every flag under W has
     scale * deg U <= top * dim U + w_{r-1} m + sum_{j<r-1} w_j min(m, c_j)
     (jump weights w_j > 0, top = scale * v_r); W passes when that is below
-    the family's least scaled degree for every rational U.  The verdict is
-    made once per Frobenius orbit of W, and each W that passes adds its
-    q-multinomial of flags to skipped[0]."""
+    the family's least scaled degree for every rational U.  Its images pass
+    with it, since the Frobenius fixes U, so each W that passes adds its
+    q-multinomial of flags times its orbit size to skipped[0]."""
     *weights, last, top = g.jump_weights
     *inner, c = g.cumulative_dims()[:-1]
     least = family.least_scaled_degree(g.scale)
@@ -86,43 +91,52 @@ def _stable_tops(g: SlopeFunction, family: ClosedFamily, p: int, n: int, skipped
         return None
     tests = [(u, need[u.dim]) for u in rational_subspaces(p, g.d) if need[u.dim] is not None]
     under = q_multinomial(g.mults[:-1], p**n)
-    verdicts: dict = {}  # keyed by W's basis, filed for all of its images at once
 
-    def stable(head: FilteredSpace) -> bool:
-        basis = head.members[0].basis
-        if basis not in verdicts:
-            verdict = all(meet_dim(head, 0, u) < m for u, m in tests)
-            verdicts.update(dict.fromkeys(meet_entry(head, basis)[0], verdict))
-        if verdicts[basis]:
-            skipped[0] += under
-        return verdicts[basis]
+    def stable(head: FilteredSpace, size: int) -> bool:
+        if all(meet_dim(head, 0, u) < m for u, m in tests):
+            skipped[0] += under * size
+            return True
+        return False
 
     return stable
 
 
 def flag_orbits(g: SlopeFunction, p: int, n: int, family: ClosedFamily | None = None):
     """Yield (flag, orbit size) for one flag of each Frobenius orbit of the
-    flags of type g over GF(p^n): the flag whose tuple of proper-member bases
-    is least among its images under x -> x^p.  The Frobenius fixes every
-    rational subspace, so dim(U meet F_j) is the same for all flags of an
-    orbit and so is every verdict built from it.  Each member's images are
-    read from the meet store (`meet_entry`), which computes them once per
-    enumeration.  At n = 1 it is the identity: every flag, size 1.
+    flags of type g over GF(p^n): the flag whose proper-member bases, read
+    from the largest down, are least among its images under sigma: x -> x^p.
+    The Frobenius fixes every rational subspace, so dim(U meet F_j) is the
+    same for all flags of an orbit and so is every verdict built from it.
+    The walk picks it node by node: a chain from the largest member down to
+    W is fixed by sigma^s (s = 1 above the largest member), and a member V
+    under W is expanded only when its basis is least among its images under
+    sigma^s, read from the meet store (`meet_entry`); the chain through V is
+    then fixed by sigma^(s t), t being V's orbit size under sigma^s, and a
+    flag's orbit size is its last such s.  At n = 1 every flag comes, size 1.
     Given a family, and where g has at least two proper members, the flags
     under a largest proper member whose meet row shows them all off the
     family's closed stratum (`_stable_tops`) are not built; they come last,
     as one (None, their number)."""
     skipped = [0]
     stable = None if family is None or len(g.pairs) < 3 else _stable_tops(g, family, p, n, skipped)
-    for flag in enumerate_flags(g, p, n, stable):
-        columns = [meet_entry(flag, m.basis)[0] for m in flag.members[:-1]]
-        key = tuple(column[0] for column in columns)
-        for size in range(1, n + 1):  # the n-th image is the flag itself
-            image = tuple(column[size % n] for column in columns)
-            if image <= key:
-                break
-        if image == key:
-            yield flag, size
+    # the walk is depth first, so the last period set is the yielded flag's
+    period = 1
+
+    def expand(head: FilteredSpace, above: int | None) -> int | None:
+        nonlocal period
+        step = 1 if above is None else above
+        basis = head.members[0].basis
+        orbit = meet_entry(head, basis)[0][::step]
+        if basis != min(orbit):
+            return None
+        size = len(set(orbit))
+        if above is None and stable is not None and stable(head, size):
+            return None
+        period = step * size
+        return period
+
+    for flag in enumerate_flags(g, p, n, expand):
+        yield flag, period
     if skipped[0]:
         yield None, skipped[0]
 

@@ -332,8 +332,9 @@ class FilteredSpace(Record):
     the Frobenius, so dim(U meet W) = dim(U meet sigma(W)): a member's images
     share its row, and at n = 1, where every member is itself rational, one
     intersection fills dim(U meet W) in W's row and in U's.  A head, whose
-    members are only a largest proper member W and the whole space, is read
-    through `meet_dim` alone, before any flag under W is built.
+    members are only a member W of the chain walk and the whole space, is
+    read through `meet_entry` and `meet_dim` alone, before any flag through W
+    is built.
     """
 
     _fields = ("field", "slope", "members")

@@ -85,7 +85,7 @@ def test_criterion_2_hyperplane_complement_tower():
 TRACE_GRID = [
     ([1, -1], 2, (1, 2, 3)),
     ([1, -1], 3, (1, 2, 3)),
-    ([2, 1, -3], 2, (1, 2, 3, 4, 5, 6)),
+    ([2, 1, -3], 2, (1, 2, 3, 4, 5, 6, 7)),
     ([1, 1, -2], 2, (1, 2)),
     ([1, 1, -1, -1], 2, (1, 2)),
     ([3, 1, -1, -3], 2, (1, 2)),
@@ -96,7 +96,7 @@ TRACE_GRID = [
 EXPECTED_OPEN = {
     (tuple([1, -1]), 2): {1: 0, 2: 2, 3: 6},
     (tuple([1, -1]), 3): {1: 0, 2: 6, 3: 24},
-    (tuple([2, 1, -3]), 2): {1: 0, 2: 0, 3: 216, 4: 2856, 5: 27720, 6: 241800},
+    (tuple([2, 1, -3]), 2): {1: 0, 2: 0, 3: 216, 4: 2856, 5: 27720, 6: 241800, 7: 2015496},
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,10 @@ ORBIT_GRID = (
     + [((2, 1, -3), family, 2, 5) for family in ("ss", "ge:1")]
     + [((2, 1, -3), "ss", 3, 2)]
     + [((2, 2, -1, -3), "ss", 2, n) for n in (1, 2)]
+    # full flags whose line can sit under a non-rational plane, so the walk
+    # orbits each line by the plane's stabiliser, a proper subgroup
+    + [((1, 0, -1), family, 2, n) for family in ("ss", "ge:1") for n in (1, 2, 3, 4)]
+    + [((1, 0, -1), family, 3, n) for family in ("ss", "ge:1") for n in (1, 2)]
 )
 
 
@@ -258,7 +263,7 @@ def test_flag_orbits_partition_the_flags(values, p, n):
         while len(orbit) < n:
             orbit.append(tuple(flag.field.frobenius(b) for b in orbit[-1]))
         assert n % size == 0 and len(set(orbit)) == size
-        assert key == min(orbit)
+        assert key[::-1] == min(k[::-1] for k in orbit)  # least from the largest member down
         covered += orbit[:size]
     assert len(covered) == len(every) == flag_count(g, p, n)
     assert set(covered) == every
@@ -274,7 +279,13 @@ def test_only_planes_holding_a_rational_line_are_expanded(monkeypatch):
     # in W can reach scale * deg U = 2 and a rational W itself 3, while every
     # other rational U stays at most -1; so of the 273 planes only the 105
     # holding a rational line (7 lines in 17 planes each, the 7 rational
-    # planes counted thrice) have their 17 flags built
+    # planes counted thrice) can hold a flag on the closed stratum.  The walk
+    # expands one plane per Frobenius orbit: the 7 rational planes, 7 orbits
+    # of size 2 among the 14 other planes defined over GF(4), and 21 orbits
+    # of size 4 among the other 84 planes, 35 in all.  Under a plane fixed by
+    # sigma^s it expands one line per orbit of sigma^s: 3 + 1 + 3 lines under
+    # a rational plane, 5 + 6 under a GF(4)-plane and all 17 under the rest,
+    # so 483 flags carry the 1,785 flags of the 105 planes
     g, p, n = from_values([2, 1, -3]), 2, 4
     built = []
 
@@ -285,7 +296,37 @@ def test_only_planes_holding_a_rational_line_are_expanded(monkeypatch):
 
     monkeypatch.setattr(flagenum, "enumerate_flags", recording)
     assert count_points(g, SS, p, n) == CountReport(total=4641, in_y=1785, in_open=2856)
-    assert len(built) == 105 * 17 < flag_count(g, p, n) == 273 * 17
+    assert len({flag.members[1] for flag in built}) == 35
+    assert len(built) == 483 == 49 + 7 * 11 + 21 * 17
+    sizes = Counter(size for flag, size in flag_orbits(g, p, n, SS) if flag is not None)
+    assert sizes == {1: 21, 2: 42, 4: 420}
+    assert sum(k * m for k, m in sizes.items()) == 105 * 17 < flag_count(g, p, n) == 273 * 17
+
+
+@pytest.mark.parametrize("values,family,p,n", [
+    ((2, 1, -3), "ss", 2, 4),
+    ((2, 1, -3), "ge:1", 3, 2),
+    ((1, 0, -1), "ss", 2, 4),
+    ((1, 0, -1), "ge:1", 3, 2),
+    ((3, 1, -1, -3), "ss", 2, 2),
+    ((2, -1, -1), "ss", 2, 4),
+])
+def test_flag_weights_are_their_frobenius_orbit_sizes(values, family, p, n):
+    # each yielded flag's weight is the size of its orbit under x -> x^p,
+    # counted by applying the Frobenius until the flag comes back; the
+    # weights and the certified flags together number every flag of type g
+    g, fam = from_values(values), parse_family(family)
+    total = 0
+    for flag, size in flag_orbits(g, p, n, fam):
+        if flag is not None:
+            key = image = tuple(m.basis for m in flag.members)
+            orbit = 0
+            while not orbit or image != key:
+                image = tuple(flag.field.frobenius(b) for b in image)
+                orbit += 1
+            assert size == orbit
+        total += size
+    assert total == flag_count(g, p, n)
 
 
 @pytest.mark.parametrize("n", (1, 2))

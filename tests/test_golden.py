@@ -17,6 +17,8 @@ SRC = TESTS.parent / "src"
 GOLDEN = {
     "zeta_d3": "zeta --g 2,1,-3 --q 2 --n 1..4",
     "zeta_fractional": "zeta --g 3/2,1/2,-2 --q 3 --n 1..2 --family ge:1/3",
+    "zeta_full_d3": "zeta --g 1,0,-1 --q 2 --n 1..4",
+    "zeta_d4": "zeta --g 3,1,-1,-3 --q 2 --n 1..2",
     "stalk_d4": "stalk --g 3,1,-1,-3 --q 2 --n 1",
     "stalk_ge1": "stalk --g 2,1,-3 --q 2 --n 1..3 --family ge:1",
     "stalk_fractional": "stalk --g 3/2,1/2,-2 --q 3 --n 1..2 --family ge:1/3",

@@ -399,7 +399,7 @@ def test_one_enumeration_shares_one_store_from_the_start(values, p, n):
     # flag must keep the dict it is given: `meets or {}` would unshare it
     g = from_values(values)
     heads = []
-    flags = list(enumerate_flags(g, p, n, skip=heads.append))
+    flags = list(enumerate_flags(g, p, n, expand=lambda head, state: heads.append(head) or 1))
     meets = flags[0].meets
     assert meets == {} and len(heads) > 1
     assert all(space.meets is meets for space in flags + heads)

@@ -100,7 +100,7 @@ def check_induction_complexes(quick, family, signs) -> bool:
     if quick:
         grid = [(2, 2), (3, 2)]
     else:
-        grid = [(d, q) for d in (2, 3) for q in (2, 3)] + [(4, 2), (4, 3), (5, 2)]
+        grid = [(d, q) for d in (2, 3) for q in (2, 3)] + [(4, 2), (4, 3), (4, 5), (5, 2)]
     ok = True
     for d, q in grid:
         for ptype in weyl.parabolic_types(d):

@@ -25,7 +25,13 @@ from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
-from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_positions, rational_subspaces
+from .exactalg.subspaces import (
+    SubspaceGF,
+    enumerate_subspaces,
+    rational_positions,
+    rational_subspaces,
+    subspaces_within,
+)
 from .flagenum import enumerate_flags, flag_orbits
 from .records import Record
 from .slopes import (
@@ -40,17 +46,26 @@ from .weyl import ParabolicType
 
 
 @lru_cache(maxsize=None)
-def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple, ...]:
-    """The finite set (G/P_I)(k), each point the tuple of reduced echelon
-    bases of a partial flag over GF(q), sorted; the full type gives the one
-    point ().  Member dims are fixed within one coset space, so this is the
-    order of the members' `sort_key`.  The sort is load-bearing for the
-    pullback-span oracle: unsorted, its exact rank takes 2-3 times as long at
-    d = 5, q = 2 and at d = 4, q = 5.  The induction complex's rank takes rows
-    last to first and is about as fast either way."""
-    field = make_field(q, 1)
-    chains = enumerate_chains(field, ptype.d, ptype.complement())
-    points = tuple(sorted(tuple(m.basis for m in chain) for chain in chains))
+def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
+    """The finite set (G/P_I)(k), each point a partial flag over GF(q) given
+    by the index of each member in `enumerate_subspaces(GF(q), d, dim)`, one
+    slot per missing dim, ascending; the full type gives the one point ().
+    Chains are built top down from `subspaces_within`, so only the missing
+    dims are enumerated.  The points are sorted: slot dims are fixed and each
+    dim is listed in basis order, so this is the order of the members' bases.
+    The sort is load-bearing for the pullback-span oracle: unsorted, its exact
+    rank takes 2-3 times as long at d = 5, q = 2 and at d = 4, q = 5.  The
+    induction complex's rank takes rows last to first and is about as fast
+    either way."""
+    field, d, dims = make_field(q, 1), ptype.d, ptype.complement()
+    chains = [()]
+    if dims:
+        chains = [(i,) for i in range(len(enumerate_subspaces(field, d, dims[-1])))]
+        for k, c in zip(dims[:0:-1], dims[-2::-1]):
+            chains = [
+                (j,) + chain for chain in chains for j in subspaces_within(field, d, k, chain[0], c)
+            ]
+    points = tuple(sorted(chains))
     assert len(points) == q_multinomial(ptype.composition(), q)
     return points
 
@@ -186,12 +201,18 @@ def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _containment(p: int, d: int):
     """For each position in `rational_subspaces(p, d)`, the positions of the
-    rational subspaces properly containing that one, ascending."""
-    subs = rational_subspaces(p, d)
-    return tuple(
-        tuple(j for j, v in enumerate(subs) if u.dim < v.dim and u.is_subspace_of(v))
-        for u in subs
-    )
+    rational subspaces properly containing that one, ascending: the
+    `subspaces_within` lists, inverted."""
+    field = make_field(p, 1)
+    sizes = (len(enumerate_subspaces(field, d, c)) for c in range(1, d - 1))
+    offsets = (0, *accumulate(sizes, initial=0))  # position of the first c-subspace
+    above = [[] for _ in rational_subspaces(p, d)]
+    for k in range(2, d):
+        for i in range(len(enumerate_subspaces(field, d, k))):
+            for c in range(1, k):
+                for j in subspaces_within(field, d, k, i, c):
+                    above[offsets[c] + j].append(offsets[k] + i)
+    return tuple(map(tuple, above))
 
 
 def _stalk_above(verts: tuple[int, ...], p: int, d: int) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
 Matrices are stored as sparse rows, one dict {column: nonzero entry} per row
-with int or Fraction entries.  rational_rank clears each row of denominators
-and runs a fraction-free elimination on gcd-normalized Python-int rows, so
-every arithmetic step is exact; no floating point anywhere.
+with int or Fraction entries.  rational_rank clears each Fraction row of
+denominators and runs a fraction-free elimination on gcd-normalized
+Python-int rows, so every arithmetic step is exact; no floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -15,11 +16,16 @@ from ..records import Record
 
 
 def _primitive(row: dict) -> dict:
-    """Clear denominators and divide by the gcd; returns a new int row."""
-    den = math.lcm(*(x.denominator for x in row.values()))
-    ints = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-    g = math.gcd(*ints.values())
-    return {c: x // g for c, x in ints.items()} if g > 1 else ints
+    """A new int row: row divided by the gcd of its entries, Fraction rows
+    first cleared of denominators.  An int row is copied even when the gcd
+    is 1, since `_reduce` edits the rows it gets in place."""
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:  # a Fraction entry
+        den = math.lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else dict(row)
 
 
 def _reduce(row: dict, pivot: dict, c: int) -> dict:

@@ -97,10 +97,6 @@ class SubspaceGF(Record):
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise ConfigError("subspace operation across different ambients")
 
-    def is_subspace_of(self, other: "SubspaceGF") -> bool:
-        self._check_compatible(other)
-        return not any(any(_reduce(self.field, row, other.basis)) for row in self.basis)
-
     def sum_with(self, other: "SubspaceGF") -> "SubspaceGF":
         self._check_compatible(other)
         return SubspaceGF.from_rows(self.field, self.ambient_dim, self.basis + other.basis)
@@ -179,6 +175,25 @@ def rational_positions(p: int, d: int) -> dict:
 def _coordinate_rows(field: FieldSpec, m: int, k: int) -> tuple:
     """Every reduced echelon basis of a k-subspace of field^m, built once."""
     return tuple(_rref_rows(field, m, k))
+
+
+@lru_cache(maxsize=None)
+def _subspace_index(field: FieldSpec, d: int, c: int) -> dict:
+    """The index of each c-subspace of field^d in `enumerate_subspaces`,
+    keyed by its basis."""
+    return {u.basis: i for i, u in enumerate(enumerate_subspaces(field, d, c))}
+
+
+@lru_cache(maxsize=None)
+def subspaces_within(field: FieldSpec, d: int, k: int, i: int, c: int) -> tuple[int, ...]:
+    """The ascending indices in `enumerate_subspaces(field, d, c)` of the
+    c-subspaces of the i-th k-subspace W of field^d.  A reduced echelon
+    coordinate matrix times W's basis is a reduced echelon basis, so each is
+    looked up as built; only dims c and k of field^d are ever enumerated."""
+    basis = enumerate_subspaces(field, d, k)[i].basis
+    index = _subspace_index(field, d, c)
+    coordinates = _coordinate_rows(field, k, c)
+    return tuple(sorted(index[mat_mul(field, rows, basis)] for rows in coordinates))
 
 
 def _chains_within(field: FieldSpec, ambient_dim: int, span_rows, dims, expand=None, state=None):

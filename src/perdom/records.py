@@ -13,7 +13,8 @@ class Record:
     values read faster than a dict).  The fields are the parameters of
     `__init__` unless it names them in `_fields`.  A record equals only a
     record of its own class with equal fields, hashes as the tuple of them,
-    shows as Name(field=value, ...) and is immutable; caches take no part."""
+    shows as Name(field=value, ...) and is immutable; values cached by `lazy`
+    take no part."""
 
     def __init_subclass__(cls):
         if "_fields" not in vars(cls):
@@ -38,3 +39,19 @@ class Record:
         raise AttributeError(f"record field {name!r} is read-only")
 
     __delattr__ = __setattr__
+
+
+class lazy:
+    """A record's cached value: computed on the first read and stored in the
+    instance dict, whose entry then shadows this descriptor.  Unlike
+    `functools.cached_property` before Python 3.12 it takes no lock, which
+    cost more than building a flag on the first reads of its rows."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value

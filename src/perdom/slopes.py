@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import ceil, floor, lcm
 from operator import mul
@@ -23,7 +23,7 @@ from operator import mul
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import FieldSpec
 from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
-from .records import Record
+from .records import Record, lazy
 from .weyl import Perm, ParabolicType, act, bruhat_leq, double_coset_reps
 
 
@@ -64,17 +64,17 @@ class SlopeFunction(Record):
             h = self._types[graded] = subfunction(values)
         return h
 
-    @cached_property
+    @lazy
     def scale(self) -> int:
         """The least common denominator of the values."""
         return lcm(*(x.denominator for x, _ in self.pairs))
 
-    @cached_property
+    @lazy
     def scaled_values(self) -> tuple[int, ...]:
         """scale times each value, an integer."""
         return tuple(int(x * self.scale) for x, _ in self.pairs)
 
-    @cached_property
+    @lazy
     def jump_weights(self) -> tuple[int, ...]:
         """scale * (v_j - v_{j+1}) for each value but the last, then
         scale * v_r: the weights of dim(U meet F_j) in scale * deg U."""
@@ -192,7 +192,7 @@ class Subfunction(Record):
     def length(self) -> int:
         return len(self.values)
 
-    @cached_property
+    @lazy
     def degree(self) -> Fraction:
         return sum(self.values, Fraction(0))
 
@@ -345,17 +345,17 @@ class FilteredSpace(Record):
         self.__dict__.update(field=field, slope=slope, members=members,
                              meets={} if meets is None else meets)
 
-    @cached_property
+    @lazy
     def positions(self) -> dict:
         """`rational_positions` of the prime-field d-space."""
         return rational_positions(self.field.p, self.members[-1].ambient_dim)
 
-    @cached_property
+    @lazy
     def rows(self) -> tuple[bytearray, ...]:
         """The meet rows of the proper members, resolved once per flag."""
         return tuple(meet_entry(self, m.basis)[1] for m in self.members[:-1])
 
-    @cached_property
+    @lazy
     def mirrors(self):
         """At n = 1: (the proper member dims of the slope's type, which a
         head lacks, and the position of each proper member); otherwise None."""

@@ -5,8 +5,8 @@ code with perdom's exact rational rank; the tests compare the two.  Over a
 large prime the ranks agree on the small integer matrices the tests build.
 kernel_intersection is the kernel route to a subspace intersection over
 GF(q), the one perdom used before its single-echelon (Zassenhaus) route.
-containment_by_sum is the containment test perdom used before it reduced
-rows against the echelon basis: A lies in B iff A + B is B.
+containment_by_sum is the containment test perdom used before it listed
+the subspaces inside each subspace: A lies in B iff A + B is B.
 matrix_from_rows builds perdom's sparse MatrixQ from dense test rows.
 count_points_every_flag and stalk_counts_every_flag classify every flag one
 by one, as perdom did before it classified one flag per Frobenius orbit and

@@ -4,15 +4,22 @@ from pathlib import Path
 
 import pytest
 
-from oracles import kernel_intersection, rank_mod_prime, stalk_counts_every_flag
+from oracles import (
+    containment_by_sum,
+    kernel_intersection,
+    rank_mod_prime,
+    stalk_counts_every_flag,
+)
 from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom import flagenum
 from perdom.errors import ConfigError, InternalCheckError
+from perdom.exactalg import subspaces
 from perdom.exactalg.gf import make_field
 from perdom.exactalg.subspaces import (
     SubspaceGF,
     enumerate_chains,
+    enumerate_subspaces,
     rational_positions,
     rational_subspaces,
 )
@@ -54,10 +61,12 @@ def test_projection_extremes():
 
 
 @pytest.mark.parametrize("d,q", [(d, q) for d in (2, 3, 4) for q in (2, 3)])
-def test_coset_points_are_sorted_bases_in_member_sort_key_order(d, q):
-    # a point is its tuple of member bases; member dims are fixed within one
-    # coset space, so sorting the bases keeps the order of the members' sort_key
+def test_coset_points_are_member_indices_in_member_sort_key_order(d, q):
+    # a point holds each member's index among the subspaces of its dim; the
+    # chain walk, an independent route, read through that index and sorted by
+    # the members' sort_key gives the same points in the same order
     field = make_field(q, 1)
+    index = {u: i for k in range(d + 1) for i, u in enumerate(enumerate_subspaces(field, d, k))}
     for ptype in parabolic_types(d):
         points = cx.coset_space(ptype, q)
         assert list(points) == sorted(points)
@@ -65,7 +74,36 @@ def test_coset_points_are_sorted_bases_in_member_sort_key_order(d, q):
             enumerate_chains(field, d, ptype.complement()),
             key=lambda chain: tuple(m.sort_key() for m in chain),
         )
-        assert points == tuple(tuple(m.basis for m in chain) for chain in chains)
+        assert points == tuple(tuple(index[m] for m in chain) for chain in chains)
+
+
+def test_narrow_i0_builds_only_the_subspaces_of_its_cut_dims(monkeypatch):
+    # kcomplex --d 8 --q 2 --i0 2,3,4,5,6,7 needs the lines of GF(2)^8 only;
+    # with a second cut at 7 it also needs the hyperplanes and their lines
+    built = []
+    rref_rows = subspaces._rref_rows
+    monkeypatch.setattr(
+        subspaces, "_rref_rows", lambda field, m, k: built.append((m, k)) or rref_rows(field, m, k)
+    )
+    for gens, cuts in (((2, 3, 4, 5, 6, 7), {1}), ((2, 3, 4, 5, 6), {1, 7})):
+        for cache in (cx.coset_space, cx.projection_indices, subspaces.enumerate_subspaces,
+                      subspaces._subspace_index, subspaces.subspaces_within,
+                      subspaces._coordinate_rows):
+            cache.cache_clear()
+        built.clear()
+        assert cx.verify_K(ParabolicType.from_gens(8, gens), 2).passed
+        assert {k for m, k in built if m == 8} == cuts
+        assert {m for m, k in built} <= cuts | {8}
+
+
+@pytest.mark.parametrize("p,d", [(2, d) for d in (2, 3, 4, 5)] + [(3, d) for d in (2, 3, 4)])
+def test_containment_lists_equal_all_pairs_sum_oracle(p, d):
+    subs = rational_subspaces(p, d)
+    expected = tuple(
+        tuple(j for j, v in enumerate(subs) if u.dim < v.dim and containment_by_sum(u, v))
+        for u in subs
+    )
+    assert cx._containment(p, d) == expected
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -189,7 +227,7 @@ def test_chain_poset_images_take_the_larger_summand():
         if len(vs) < 2:
             continue
         if not all(
-            subs[a].is_subspace_of(subs[b]) or subs[b].is_subspace_of(subs[a])
+            containment_by_sum(subs[a], subs[b]) or containment_by_sum(subs[b], subs[a])
             for i, a in enumerate(vs)
             for b in vs[i + 1 :]
         ):
@@ -199,7 +237,7 @@ def test_chain_poset_images_take_the_larger_summand():
         u0 = vs[0]
         for u in vs:
             image = cx._join(2, 3, u, u0)
-            assert image == (u if subs[u0].is_subspace_of(subs[u]) else u0)
+            assert image == (u if containment_by_sum(subs[u0], subs[u]) else u0)
     assert found == 21
 
 
@@ -208,7 +246,7 @@ def test_join_is_the_least_rational_subspace_containing_both(p, d):
     # U + U0 without a sum: the least proper subspace holding both, of
     # dim U + dim U0 - dim(U meet U0) by the kernel route; None if none is proper
     subs = rational_subspaces(p, d)
-    holding = [{k for k, v in enumerate(subs) if u.is_subspace_of(v)} for u in subs]
+    holding = [{k for k, v in enumerate(subs) if containment_by_sum(u, v)} for u in subs]
     for i, u in enumerate(subs):
         for j, w in enumerate(subs):
             k = min(holding[i] & holding[j], key=lambda k: subs[k].dim, default=None)
@@ -220,7 +258,7 @@ def test_join_is_the_least_rational_subspace_containing_both(p, d):
 def first_minimal_vertex(verts, subs):
     """The minimal vertex found by scanning for one containing no other."""
     return next(
-        v for v in verts if not any(u != v and subs[u].is_subspace_of(subs[v]) for u in verts)
+        v for v in verts if not any(u != v and containment_by_sum(subs[u], subs[v]) for u in verts)
     )
 
 

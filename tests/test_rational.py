@@ -158,3 +158,47 @@ def test_kcomplex_d4_rank_work_guard(monkeypatch):
     for rows in maps:
         rational_rank(rows)
     assert len(calls) <= 20_000
+
+
+def test_primitive_divides_int_rows_and_returns_a_copy():
+    row = {0: 6, 3: -4, 5: 10}
+    out = rational._primitive(row)
+    assert out == {0: 3, 3: -2, 5: 5} and row == {0: 6, 3: -4, 5: 10}
+    coprime = {1: 3, 2: -5}
+    out = rational._primitive(coprime)
+    assert out == coprime and out is not coprime
+    assert all(type(x) is int for x in out.values())
+
+
+def test_primitive_clears_fraction_and_mixed_rows():
+    fractions = {0: Fraction(1, 2), 4: Fraction(-1, 3), 6: Fraction(5, 6)}
+    assert rational._primitive(fractions) == {0: 3, 4: -2, 6: 5}
+    mixed = {0: 4, 1: Fraction(2, 3), 2: Fraction(8, 1)}
+    out = rational._primitive(mixed)
+    assert out == {0: 6, 1: 1, 2: 12} and all(type(x) is int for x in out.values())
+    assert rational._primitive({2: Fraction(4, 1)}) == {2: 1}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_matches_modular_oracle_on_int_fraction_and_mixed_rows(seed):
+    # rows of each kind, some with a common factor or a planted dependency;
+    # rank() must not edit the matrix it reads
+    rng = random.Random(seed)
+    cols = rng.randrange(2, 9)
+    dense = []
+    for _ in range(rng.randrange(2, 9)):
+        kind = rng.choice(("int", "fraction", "mixed"))
+        scale = rng.choice((1, 2, 6, 10**12))
+        row = [scale * rng.randrange(-4, 5) for _ in range(cols)]
+        if kind != "int":
+            row = [
+                Fraction(x, rng.randrange(1, 7)) if kind == "fraction" or rng.random() < 0.5 else x
+                for x in row
+            ]
+        dense.append(row)
+    if len(dense) >= 3:
+        dense[-1] = [a + 3 * b for a, b in zip(dense[0], dense[1])]
+    matrix = matrix_from_rows(dense)
+    before = [dict(row) for row in matrix.entries]
+    assert matrix.rank() == rank_mod_prime(dense, 1_073_741_789) == sympy.Matrix(dense).rank()
+    assert [dict(row) for row in matrix.entries] == before

@@ -12,6 +12,7 @@ from perdom.exactalg.subspaces import (
     enumerate_chains,
     enumerate_subspaces,
     rref,
+    subspaces_within,
 )
 
 
@@ -91,8 +92,8 @@ def test_modular_dimension_law_all_pairs(d, q):
             s = a.sum_with(b)
             i = a.intersect(b)
             assert s.dim + i.dim == a.dim + b.dim
-            assert i.is_subspace_of(a) and i.is_subspace_of(b)
-            assert a.is_subspace_of(s) and b.is_subspace_of(s)
+            assert containment_by_sum(i, a) and containment_by_sum(i, b)
+            assert containment_by_sum(a, s) and containment_by_sum(b, s)
 
 
 def test_ambient_mismatch_rejected():
@@ -102,18 +103,22 @@ def test_ambient_mismatch_rejected():
         line.sum_with(span(f2, 4, e_basis(4, 1)))
     for other in (span(f2, 4, e_basis(4, 1, 2)), span(f3, 3, e_basis(3, 1, 2))):
         with pytest.raises(ConfigError):
-            line.is_subspace_of(other)
+            containment_by_sum(line, other)
         with pytest.raises(ConfigError):
-            other.is_subspace_of(line)
+            containment_by_sum(other, line)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
 def test_containment_matches_sum_oracle_all_pairs(p, n, d):
+    # the c-subspaces listed inside each k-subspace W are those A with
+    # A + W = W; no subspace lies inside one of smaller dim
     f = make_field(p, n)
-    all_subs = [s for k in range(d + 1) for s in enumerate_subspaces(f, d, k)]
-    for a in all_subs:
-        for b in all_subs:
-            assert a.is_subspace_of(b) == containment_by_sum(a, b)
+    for k in range(d + 1):
+        for i, w in enumerate(enumerate_subspaces(f, d, k)):
+            for c in range(k + 1):
+                subs = enumerate_subspaces(f, d, c)
+                inside = tuple(j for j, a in enumerate(subs) if containment_by_sum(a, w))
+                assert subspaces_within(f, d, k, i, c) == inside
 
 
 @pytest.mark.parametrize("d,q,n", [(2, 2, 2), (3, 2, 2), (4, 2, 2), (3, 3, 2), (2, 2, 3)])
@@ -132,8 +137,8 @@ def test_extend_scalars_preserves_dim_exhaustively(d, q, n):
 def test_contains_vector():
     f = make_field(2, 1)
     plane = span(f, 3, ((1, 0, 1), (0, 1, 1)))
-    assert span(f, 3, [(1, 1, 0)]).is_subspace_of(plane)
-    assert not span(f, 3, [(1, 0, 0)]).is_subspace_of(plane)
+    assert containment_by_sum(span(f, 3, [(1, 1, 0)]), plane)
+    assert not containment_by_sum(span(f, 3, [(1, 0, 0)]), plane)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 3), (2, 2, 3)])
@@ -177,7 +182,7 @@ def test_chain_enumeration_counts(q, dims, parts):
     for chain in chains:
         assert tuple(m.dim for m in chain) == dims
         for a, b in zip(chain, chain[1:]):
-            assert a.is_subspace_of(b)
+            assert containment_by_sum(a, b)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 1, 4), (3, 1, 4), (2, 2, 3)])

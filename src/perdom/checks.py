@@ -6,18 +6,22 @@ acceptance criteria.  An InternalCheckError raised inside a check counts as a
 failure of that check.  `family` is the positive-degree family the stalk check
 classifies against; `signs` is the induction-complex sign convention, where
 "index" is the deliberately broken reading that must fail to compose to zero.
-CHECKS lists the checks in report order.
+CHECKS lists the checks in report order.  The prefix map that
+`check_prefix_map` checks, `kappa`, is built here, its only user.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import combinations
 
 from . import cohomology as coh
 from . import complexes as cx
 from . import flagenum, slopes, weyl
-from .errors import InternalCheckError
-from .weyl import ParabolicType
+from .errors import ConfigError, InternalCheckError
+from .slopes import SlopeFunction, Subfunction, from_values, subfunction
+from .weyl import ParabolicType, Perm, act, bruhat_leq, double_coset_reps
 
 SS = slopes.ClosedFamily.semistable()
 
@@ -48,10 +52,58 @@ def induction_report(ptype: ParabolicType, q: int, signs: str) -> cx.KComplexRep
     raise InternalCheckError("corrupted sign convention unexpectedly composed to zero")
 
 
+def dominates(h: Subfunction, other: Subfunction) -> bool:
+    """h >= other: equal lengths and componentwise >= on sorted tuples."""
+    if h.length != other.length:
+        raise ConfigError("subfunction comparison needs equal lengths")
+    return all(a >= b for a, b in zip(h.values, other.values))
+
+
+@lru_cache(maxsize=None)
+def enumerate_B(g: SlopeFunction, i: int) -> tuple[Subfunction, ...]:
+    """All distinct length-i subfunctions of g, sorted decreasing."""
+    if not 1 <= i <= g.d - 1:
+        raise ConfigError(f"subfunction length {i} out of range 1..{g.d - 1}")
+    mu = g.mu
+    seen = {subfunction(c) for c in combinations(mu, i)}
+    return tuple(sorted(seen, key=lambda h: h.values, reverse=True))
+
+
+def h_w_i(mu, w: Perm, i: int) -> Subfunction:
+    """Multiset of the first i entries of w acting on mu."""
+    if not 0 <= i <= len(mu):
+        raise ConfigError(f"prefix length {i} out of range")
+    return subfunction(act(w, mu)[:i])
+
+
+def kappa(i: int, mu) -> dict[Perm, Subfunction]:
+    """The prefix-multiset map on minimal double-coset representatives.
+
+    Checks that it is a bijection onto the length-i subfunctions and that
+    it reverses order (Bruhat on representatives vs. dominance); either
+    failure raises InternalCheckError.
+    """
+    reps = double_coset_reps(i, mu)
+    targets = set(enumerate_B(from_values(mu), i))
+    mapping = {w: h_w_i(mu, w, i) for w in reps}
+    images = list(mapping.values())
+    if len(set(images)) != len(images) or set(images) != targets:
+        raise InternalCheckError(
+            f"prefix map on double cosets is not a bijection for i={i}, mu={mu}"
+        )
+    for u in reps:
+        for w in reps:
+            if bruhat_leq(u, w) and not dominates(mapping[u], mapping[w]):
+                raise InternalCheckError(
+                    f"prefix map is not order-reversing at {u} <= {w}"
+                )
+    return mapping
+
+
 def check_prefix_map(quick, family, signs) -> bool:
     for g in slope_grid(quick, 66):
         for i in range(1, g.d):
-            slopes.kappa(i, g.mu)  # raises on failure
+            kappa(i, g.mu)  # raises on failure
     return True
 
 

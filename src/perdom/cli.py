@@ -122,7 +122,7 @@ def _emit_text(text: str, path: str | None):
 
 def _resolve_dq(args) -> tuple[int, int]:
     """(d, q) from --d (or the slope function) and --q, checked before pricing."""
-    from .exactalg.gf import require_prime
+    from .exactalg.qcount import require_prime
     d = _parse_g(args).d if args.d is None else args.d
     if d < 1:
         raise ConfigError(f"--d must be at least 1, got {d}")
@@ -160,8 +160,7 @@ def _require_printable_traces(entries, q: int, n: int):
 
 def cmd_table(args) -> int:
     from . import cohomology as coh
-    from .exactalg.gf import require_prime
-    from .exactalg.qcount import capped, q_multinomial
+    from .exactalg.qcount import capped, q_multinomial, require_prime
     g = _parse_g(args)
     family = _parse_family(args)
     require_prime(args.q)
@@ -246,7 +245,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    from . import cohomology as coh, complexes as cx, weyl
+    from . import cohomology as coh, weyl
     from .exactalg.qcount import all_flag_points, capped
     d, q = _resolve_dq(args)
 
@@ -259,10 +258,13 @@ def cmd_dims(args) -> int:
 
     what = "work units (Moebius terms, d^2 per coset-space point)" if args.oracle else "Moebius terms"
     _require_budget(args, price, what)
+    dim_v = coh.dim_v
+    if args.oracle:  # the rank route, the only one that loads the enumeration layers
+        from .complexes import check_dim_v as dim_v
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = coh.dim_induced(ptype, q)
-        dv = cx.check_dim_v(ptype, q) if args.oracle else coh.dim_v(ptype, q)
+        dv = dim_v(ptype, q)
         rows.append(
             {
                 "I": list(ptype.gens),

@@ -15,41 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..errors import ConfigError
+from .qcount import require_prime
 
 DEFAULT_ORDER_BOUND = 2**20
-PRIME_BOUND = 2**64  # is_prime is exact below this; larger sizes are refused
 _TABLE_LIMIT = 512  # precompute add/mul/inverse tables up to this field order
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin over the first 12 prime bases, which no
-    composite below 2^64 passes."""
-    if m < 2:
-        return False
-    for b in _WITNESSES:
-        if m % b == 0:
-            return m == b
-    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2^s * odd
-    for b in _WITNESSES:
-        x = pow(b, (m - 1) >> s, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def require_prime(p: int):
-    """Raise ConfigError unless p is a prime below PRIME_BOUND."""
-    if p >= PRIME_BOUND:
-        raise ConfigError(f"base field size must be below 2^64, got {p}")
-    if not is_prime(p):
-        raise ConfigError(f"base field size must be prime, got {p}")
 
 
 # -- polynomial helpers over GF(p); coefficient tuples, constant term first --

@@ -8,12 +8,50 @@ Everything is plain integer arithmetic, exact for any integer q >= 1
 Each count also serves as a work price: given `cap`, it is exact up to cap and
 math.inf once a running value, or a q-binomial's lower bound 2^(k(d-k)), passes
 cap, so a price far above any budget costs no more than one below it.
+
+is_prime and require_prime decide which base field sizes q are accepted: the
+formula layers check q with them and never build the field.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+from ..errors import ConfigError
+
+PRIME_BOUND = 2**64  # is_prime is exact below this; larger sizes are refused
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin over the first 12 prime bases, which no
+    composite below 2^64 passes."""
+    if m < 2:
+        return False
+    for b in _WITNESSES:
+        if m % b == 0:
+            return m == b
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = 2^s * odd
+    for b in _WITNESSES:
+        x = pow(b, (m - 1) >> s, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p: int):
+    """Raise ConfigError unless p is a prime below PRIME_BOUND."""
+    if p >= PRIME_BOUND:
+        raise ConfigError(f"base field size must be below 2^64, got {p}")
+    if not is_prime(p):
+        raise ConfigError(f"base field size must be prime, got {p}")
 
 
 def capped(x, cap=None):

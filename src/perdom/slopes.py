@@ -16,15 +16,13 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import ceil, floor, lcm
 from operator import mul
 
-from .errors import ConfigError, InternalCheckError
-from .exactalg.gf import FieldSpec
-from .exactalg.subspaces import SubspaceGF, rational_positions, rational_subspaces
+from .errors import ConfigError
 from .records import Record, lazy
-from .weyl import Perm, ParabolicType, act, bruhat_leq, double_coset_reps
+from .weyl import ParabolicType
 
 
 class SlopeFunction(Record):
@@ -48,10 +46,7 @@ class SlopeFunction(Record):
     @property
     def mu(self) -> tuple[Fraction, ...]:
         """The weakly decreasing d-vector of values with multiplicity."""
-        out = []
-        for x, m in self.pairs:
-            out.extend([x] * m)
-        return tuple(out)
+        return tuple(x for x, m in self.pairs for _ in range(m))
 
     def type_of(self, graded: tuple[int, ...]) -> "Subfunction":
         """The subfunction with graded[j] copies of the j-th value, built once
@@ -201,23 +196,6 @@ def subfunction(values) -> Subfunction:
     return Subfunction(tuple(sorted((Fraction(v) for v in values), reverse=True)))
 
 
-def dominates(h: Subfunction, other: Subfunction) -> bool:
-    """h >= other: equal lengths and componentwise >= on sorted tuples."""
-    if h.length != other.length:
-        raise ConfigError("subfunction comparison needs equal lengths")
-    return all(a >= b for a, b in zip(h.values, other.values))
-
-
-@lru_cache(maxsize=None)
-def enumerate_B(g: SlopeFunction, i: int) -> tuple[Subfunction, ...]:
-    """All distinct length-i subfunctions of g, sorted decreasing."""
-    if not 1 <= i <= g.d - 1:
-        raise ConfigError(f"subfunction length {i} out of range 1..{g.d - 1}")
-    mu = g.mu
-    seen = {subfunction(c) for c in combinations(mu, i)}
-    return tuple(sorted(seen, key=lambda h: h.values, reverse=True))
-
-
 class ClosedFamily(Record):
     """Degree-threshold family: h belongs iff deg h > threshold (strict)
     or deg h >= threshold (non-strict).  Membership depends only on the
@@ -271,44 +249,11 @@ def parse_family(spec: str) -> ClosedFamily:
     raise ConfigError(f"unknown family spec {spec!r}")
 
 
-# -- Weyl-side subfunctions --------------------------------------------------
-
-
-def h_w_i(mu, w: Perm, i: int) -> Subfunction:
-    """Multiset of the first i entries of w acting on mu."""
-    if not 0 <= i <= len(mu):
-        raise ConfigError(f"prefix length {i} out of range")
-    return subfunction(act(w, mu)[:i])
-
-
-def kappa(i: int, mu) -> dict[Perm, Subfunction]:
-    """The prefix-multiset map on minimal double-coset representatives.
-
-    Checks that it is a bijection onto the length-i subfunctions and that
-    it reverses order (Bruhat on representatives vs. dominance); either
-    failure raises InternalCheckError.
-    """
-    reps = double_coset_reps(i, mu)
-    targets = set(enumerate_B(from_values(mu), i))
-    mapping = {w: h_w_i(mu, w, i) for w in reps}
-    images = list(mapping.values())
-    if len(set(images)) != len(images) or set(images) != targets:
-        raise InternalCheckError(
-            f"prefix map on double cosets is not a bijection for i={i}, mu={mu}"
-        )
-    for u in reps:
-        for w in reps:
-            if bruhat_leq(u, w) and not dominates(mapping[u], mapping[w]):
-                raise InternalCheckError(
-                    f"prefix map is not order-reversing at {u} <= {w}"
-                )
-    return mapping
-
-
 def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
     """Reflections s_i whose i-th partial sum of w.mu lies outside the family:
     I_w for a minimal coset representative w, since the family depends only
-    on the degree and the degree of h_w_i is that partial sum."""
+    on the degree and the degree of the prefix subfunction (`checks.h_w_i`)
+    is that partial sum."""
     sums = accumulate(w_mu[:-1])
     gens = [i for i, total in enumerate(sums, start=1) if not family.contains_degree(total)]
     return ParabolicType.from_gens(len(w_mu), gens)
@@ -317,6 +262,16 @@ def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
 # -- filtered spaces ----------------------------------------------------------
 
 UNKNOWN = 255  # a meet-row entry not computed yet; a dim never reaches it
+
+
+@lru_cache(maxsize=None)
+def _rational(p: int, d: int) -> tuple[tuple, dict, bytes]:
+    """`rational_subspaces(p, d)`, `rational_positions(p, d)` and the dim of
+    each subspace in that order.  The subspace layer is imported here, on the
+    first flag of a (p, d), so the formula layers never load it."""
+    from .exactalg import subspaces
+    subs = subspaces.rational_subspaces(p, d)
+    return subs, subspaces.rational_positions(p, d), bytes(u.dim for u in subs)
 
 
 class FilteredSpace(Record):
@@ -348,7 +303,7 @@ class FilteredSpace(Record):
     @lazy
     def positions(self) -> dict:
         """`rational_positions` of the prime-field d-space."""
-        return rational_positions(self.field.p, self.members[-1].ambient_dim)
+        return _rational(self.field.p, self.members[-1].ambient_dim)[1]
 
     @lazy
     def rows(self) -> tuple[bytearray, ...]:
@@ -399,7 +354,7 @@ def meet_dim(flag: FilteredSpace, j: int, u: SubspaceGF) -> int:
     if meet == UNKNOWN:
         # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
         member = flag.members[j]
-        meet = SubspaceGF(flag.field, member.ambient_dim, u.basis).intersect(member).dim
+        meet = type(u)(flag.field, member.ambient_dim, u.basis).intersect(member).dim
         _store(flag, j, u, i, meet)
     return meet
 
@@ -446,18 +401,11 @@ def induced_degree(flag: FilteredSpace, u: SubspaceGF) -> int:
     return sum(map(mul, flag.slope.scaled_values, _graded_dims(flag, u)))
 
 
-@lru_cache(maxsize=None)
-def _rational_dims(p: int, d: int) -> bytes:
-    """The dim of each rational subspace, in `rational_subspaces` order."""
-    return bytes(u.dim for u in rational_subspaces(p, d))
-
-
 def scaled_degrees(flag: FilteredSpace) -> list[int]:
     """slope.scale times the induced degree of every rational subspace, in
     `rational_subspaces` order, read from the flag's meet rows by Abel
     summation: deg U = sum_j (v_j - v_{j+1}) dim(U meet F_j) + v_r dim U."""
-    p, d = flag.field.p, flag.members[-1].ambient_dim
-    subs = rational_subspaces(p, d)
+    subs, _, dims = _rational(flag.field.p, flag.members[-1].ambient_dim)
     rows = flag.rows
     for row in rows:
         i = row.find(UNKNOWN)
@@ -465,7 +413,7 @@ def scaled_degrees(flag: FilteredSpace) -> list[int]:
             _graded_dims(flag, subs[i])  # fills column i
             i = row.find(UNKNOWN, i + 1)
     *weights, top = flag.slope.jump_weights
-    out = [top * dim for dim in _rational_dims(p, d)]
+    out = [top * dim for dim in dims]
     for weight, row in zip(weights, rows):
         out = [deg + weight * meet for deg, meet in zip(out, row)]
     return out

@@ -126,14 +126,8 @@ class ParabolicType(Record):
 
     def composition(self) -> tuple[int, ...]:
         """Block sizes of 1..d cut at the missing reflections."""
-        cuts = self.complement()
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(self.d - prev)
-        return tuple(parts)
+        cuts = (0, *self.complement(), self.d)
+        return tuple(b - a for a, b in zip(cuts, cuts[1:]))
 
     def issubset(self, other: "ParabolicType") -> bool:
         return self.d == other.d and set(self.gens) <= set(other.gens)

@@ -13,13 +13,18 @@ by one, as perdom did before it classified one flag per Frobenius orbit and
 counted the flags under a certified largest member without building them;
 count_points_every_flag also judges each flag through the induced type's
 Fraction degree, not count_points' integer scaled degree.
+dim_v_by_moebius is the 2^m-term Moebius sum over the supersets of a
+reflection set, the route perdom took to a generalized Steinberg dimension
+before it grouped the terms by their largest kept cut.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
+from perdom.cohomology import dim_induced
 from perdom.complexes import stalk_report
 from perdom.exactalg.rational import MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF, rref
@@ -142,3 +147,14 @@ def stalk_counts_every_flag(g, family, p: int, n: int) -> tuple[int, int, int]:
         in_y += rep.in_y
         failed += not rep.passed
     return flags, in_y, failed
+
+
+def dim_v_by_moebius(parabolic, q: int) -> int:
+    """dim v_P: the sum, over the reflection sets J that contain P's, of
+    (-1)^|J - P| times the number of partial flags of J's block type."""
+    missing = parabolic.complement()
+    total = 0
+    for r in range(len(missing) + 1):
+        for extra in combinations(missing, r):
+            total += (-1) ** r * dim_induced(parabolic.union(extra), q)
+    return total

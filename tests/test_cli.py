@@ -518,25 +518,43 @@ def test_help_loads_no_layer_module():
 
 FORMULA_LAYERS = (
     "perdom", "perdom.cli", "perdom.cohomology", "perdom.errors", "perdom.exactalg",
-    "perdom.exactalg.gf", "perdom.exactalg.qcount", "perdom.exactalg.subspaces",
-    "perdom.records", "perdom.slopes", "perdom.weyl",
+    "perdom.exactalg.qcount", "perdom.records", "perdom.slopes", "perdom.weyl",
 )
-COMPLEX_LAYERS = (*FORMULA_LAYERS, "perdom.complexes", "perdom.exactalg.rational", "perdom.flagenum")
+FIELD_LAYERS = (*FORMULA_LAYERS, "perdom.exactalg.gf", "perdom.exactalg.subspaces")
+COMPLEX_LAYERS = (*FIELD_LAYERS, "perdom.complexes", "perdom.exactalg.rational", "perdom.flagenum")
 
 
 @pytest.mark.parametrize("argv,modules", [
     ("table --drinfeld 3 --q 2 --n 1..2", FORMULA_LAYERS),
-    ("zeta --g 2,1,-3 --q 2 --n 1", (*FORMULA_LAYERS, "perdom.flagenum")),
+    ("zeta --g 2,1,-3 --q 2 --n 1", (*FIELD_LAYERS, "perdom.flagenum")),
     ("stalk --g 2,1,-3 --q 2 --n 1", COMPLEX_LAYERS),
     ("kcomplex --d 3 --q 2", (*COMPLEX_LAYERS, "perdom.checks")),
-    ("dims --d 3 --q 2", COMPLEX_LAYERS),
+    ("dims --d 3 --q 2", FORMULA_LAYERS),
+    ("dims --d 3 --q 2 --oracle", COMPLEX_LAYERS),
     ("verify-all --quick", (*COMPLEX_LAYERS, "perdom.checks")),
-], ids=["table", "zeta", "stalk", "kcomplex", "dims", "verify-all"])
+], ids=["table", "zeta", "stalk", "kcomplex", "dims", "dims-oracle", "verify-all"])
 def test_commands_load_their_layers_without_dataclasses(argv, modules):
     # records are plain classes: no command pays for importing dataclasses
     code, _, err = run_bounded(argv.split(), LOADED_MODULES)
     assert code == 0
     assert err.splitlines()[-1].split() == [*sorted(modules), "False"]
+
+
+def test_formula_layers_import_no_field_or_enumeration_module():
+    # the formula route is independent of the enumeration route by
+    # construction: it cannot reach a finite field, a subspace or a complex
+    probe = (
+        "import sys\n"
+        "import perdom.cohomology, perdom.slopes, perdom.weyl, perdom.exactalg.qcount\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('perdom'))))\n"
+    )
+    code, out, _ = run_bounded([], probe)
+    assert code == 0
+    loaded = set(out.split())
+    assert "perdom.cohomology" in loaded
+    forbidden = {"perdom.exactalg.gf", "perdom.exactalg.subspaces", "perdom.exactalg.rational",
+                 "perdom.flagenum", "perdom.complexes", "perdom.checks"}
+    assert not loaded & forbidden
 
 
 def test_drinfeld_and_g_conflict(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dim_v_by_moebius
 from perdom import cohomology as coh
 from perdom import complexes as cx
 from perdom.errors import ConfigError
@@ -76,6 +77,14 @@ def test_dim_v_examples():
 def test_dim_v_steinberg_spot_checks():
     for d, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)):
         assert coh.dim_v(ParabolicType.empty(d), q) == q ** (d * (d - 1) // 2)
+
+
+def test_dim_v_recursion_equals_the_moebius_sum_over_supersets():
+    types = [ptype for d in range(1, 10) for ptype in parabolic_types(d)]
+    assert len(types) == 511  # 2^(d-1) reflection sets per d
+    for q in (2, 3, 5):
+        for ptype in types:
+            assert coh.dim_v(ptype, q) == dim_v_by_moebius(ptype, q), (ptype.gens, q)
 
 
 def test_dim_v_two_routes_small_grid():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import count_points_every_flag, stalk_counts_every_flag
 from perdom import cohomology as coh
 from perdom import complexes, flagenum
+from perdom.checks import enumerate_B
 from perdom.complexes import stalk_counts
 from perdom.exactalg.gf import FieldSpec
 from perdom.exactalg.qcount import all_flag_points, q_binomial, q_multinomial
@@ -26,7 +27,6 @@ from perdom.slopes import (
     UNKNOWN,
     ClosedFamily,
     drinfeld,
-    enumerate_B,
     from_values,
     induced_type,
     parse_family,

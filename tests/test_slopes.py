@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import from_cycle, kernel_intersection
+from perdom.checks import dominates, enumerate_B, h_w_i, kappa
 from perdom.cohomology import kostant_cells
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
@@ -17,14 +18,10 @@ from perdom.slopes import (
     UNKNOWN,
     SlopeFunction,
     Subfunction,
-    dominates,
     drinfeld,
-    enumerate_B,
     from_values,
-    h_w_i,
     induced_degree,
     induced_type,
-    kappa,
     parse_family,
     parse_g_config,
     random_slope_function,

@@ -16,9 +16,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from . import cohomology as coh
-from . import complexes as cx
-from . import flagenum, slopes, weyl
+from . import cohomology as coh, complexes as cx, flagenum, slopes, weyl
 from .errors import ConfigError, InternalCheckError
 from .slopes import SlopeFunction, Subfunction, from_values, subfunction
 from .weyl import ParabolicType, Perm, act, bruhat_leq, double_coset_reps
@@ -36,20 +34,6 @@ def slope_grid(quick: bool, seed: int):
             yield slopes.from_values([1] * (d - 1) + [-(d - 1)])
         if not quick:
             yield slopes.random_slope_function(rng, d)
-
-
-def corruptible(ptype: ParabolicType) -> bool:
-    """Complexes with a single differential cannot witness a broken sign."""
-    return len(ptype.complement()) >= 2
-
-
-def induction_report(ptype: ParabolicType, q: int, signs: str) -> cx.KComplexReport:
-    """verify_K under the position signs; under the "index" corruption hook the
-    build must raise at its composition-zero validation."""
-    if signs == "position":
-        return cx.verify_K(ptype, q)
-    cx.build_K(ptype, q, signs=signs)
-    raise InternalCheckError("corrupted sign convention unexpectedly composed to zero")
 
 
 def dominates(h: Subfunction, other: Subfunction) -> bool:
@@ -156,9 +140,9 @@ def check_induction_complexes(quick, family, signs) -> bool:
     ok = True
     for d, q in grid:
         for ptype in weyl.parabolic_types(d):
-            if ptype.is_full or (signs != "position" and not corruptible(ptype)):
+            if ptype.is_full or (signs != "position" and not cx.corruptible(ptype)):
                 continue
-            ok = ok and induction_report(ptype, q, signs).passed
+            ok = ok and cx.induction_report(ptype, q, signs).passed
     return ok
 
 

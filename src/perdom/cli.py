@@ -245,25 +245,26 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    from . import cohomology as coh, weyl
+    from . import weyl
     from .exactalg.qcount import all_flag_points, capped
     d, q = _resolve_dq(args)
 
     def price(cap):
-        # 3^(d-1) >= 2^(d-1) > cap once d - 1 reaches the bit length of cap
-        work = capped(3 ** (d - 1), cap) if d <= cap.bit_length() else math.inf
+        # (m+1)(m+2)/2 q-binomials in dim_v for each of the C(d-1, m) types with m cuts:
+        # (d^2 + 5d + 2) 2^(d-4) >= 2^(d-1) in all, > cap once d - 1 reaches cap's bit length
+        work = capped((d*d + 5*d + 2) * 2**d // 16, cap) if d <= cap.bit_length() else math.inf
         if args.oracle:  # the rank route also builds every coset space
             work = capped(work + d**2 * all_flag_points(d, q, cap=cap), cap)
         return work
 
     what = "work units (Moebius terms, d^2 per coset-space point)" if args.oracle else "Moebius terms"
     _require_budget(args, price, what)
-    dim_v = coh.dim_v
-    if args.oracle:  # the rank route, the only one that loads the enumeration layers
+    dim_v = weyl.dim_v
+    if args.oracle:  # the rank route, the only one that loads the finite-field layers
         from .complexes import check_dim_v as dim_v
     rows = []
     for ptype in weyl.parabolic_types(d):
-        di = coh.dim_induced(ptype, q)
+        di = weyl.dim_induced(ptype, q)
         dv = dim_v(ptype, q)
         rows.append(
             {
@@ -282,7 +283,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_kcomplex(args) -> int:
-    from . import checks, weyl
+    from . import complexes as cx, weyl
     from .exactalg.qcount import all_flag_points, capped
     d, q = _resolve_dq(args)
     if d < 2:
@@ -307,10 +308,10 @@ def cmd_kcomplex(args) -> int:
     subsets = [i0] if i0 is not None else [p for p in weyl.parabolic_types(d) if not p.is_full]
     signs = "index" if args.corrupt_signs else "position"
     if args.corrupt_signs:
-        subsets = [p for p in subsets if checks.corruptible(p)]
+        subsets = [p for p in subsets if cx.corruptible(p)]
         if not subsets:
             raise ConfigError("the sign-corruption hook needs a complex with two differentials")
-    reports = [checks.induction_report(ptype, q, signs) for ptype in subsets]
+    reports = [cx.induction_report(ptype, q, signs) for ptype in subsets]
     ok = True
     for rep in reports:
         ok = ok and rep.passed

@@ -7,20 +7,20 @@ module of the parabolic attached to w, Tate-twisted by -length(w), placed
 in degree 2*length(w) + #(missing reflections).  The closed complement has
 a companion table with induced modules.  Both tables convert to exact
 point-count predictions by taking Frobenius traces.  The dimensions are
-q-binomial counts and their Moebius inversion; complexes checks them by exact
-rank.  This module, like slopes and weyl below it, imports nothing from the
-finite-field or enumeration layers.
+weyl's q-binomial counts and their Moebius inversion; complexes checks them by
+exact rank.  This module, like slopes and weyl below it, imports nothing from
+the finite-field or enumeration layers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ConfigError, InternalCheckError
-from .exactalg.qcount import q_binomial, q_multinomial, require_prime
+from .errors import ConfigError
+from .exactalg.qcount import require_prime
 from .records import Record
 from .slopes import ClosedFamily, SlopeFunction, outside_family
-from .weyl import ParabolicType, Perm, act, kostant_reps, length
+from .weyl import ParabolicType, Perm, act, dim_induced, dim_v, kostant_reps, length
 
 INDUCED = "induced"
 STEINBERG_QUOTIENT = "steinberg_quotient"
@@ -40,31 +40,6 @@ def rep_label(kind: str, parabolic: ParabolicType) -> RepLabel:
     if kind not in (INDUCED, STEINBERG_QUOTIENT):
         raise ConfigError(f"unknown representation kind {kind!r}")
     return RepLabel(kind, parabolic)
-
-
-@lru_cache(maxsize=None)
-def dim_induced(parabolic: ParabolicType, q: int) -> int:
-    """Number of partial flags of the parabolic's block type over GF(q)."""
-    require_prime(q)
-    return q_multinomial(parabolic.composition(), q)
-
-
-@lru_cache(maxsize=None)
-def dim_v(parabolic: ParabolicType, q: int) -> int:
-    """Dimension of the generalized Steinberg module: the Moebius sum of the
-    induced dims over the supersets of the parabolic's reflection set, with
-    its terms grouped by their largest kept cut.  Over the cuts 0 = k_0 <
-    k_1 < ... < k_m < k_(m+1) = d, F(0) = 1 and F(j) = sum over i < j of
-    (-1)^(j-1-i) [k_j; k_i]_q F(i), and the dimension is F(m+1)."""
-    require_prime(q)
-    cuts = (0, *parabolic.complement(), parabolic.d)
-    f = [1]
-    for j in range(1, len(cuts)):
-        f.append(sum((-1) ** (j - 1 - i) * q_binomial(cuts[j], cuts[i], q) * f[i]
-                     for i in range(j)))
-    if f[-1] <= 0:
-        raise InternalCheckError(f"nonpositive Steinberg dimension for {parabolic}")
-    return f[-1]
 
 
 def rep_dim(rep: RepLabel, q: int) -> int:

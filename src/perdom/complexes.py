@@ -1,7 +1,7 @@
 """Explicit complexes: parabolic induction complexes and stalk subcomplexes.
 
-check_dim_v compares cohomology's Moebius route for the Steinberg dimension
-with the induced dimension minus the rank of the pulled-back functions.
+check_dim_v compares weyl's Moebius route for the Steinberg dimension with
+the induced dimension minus the rank of the pulled-back functions.
 The induction complex for a proper reflection subset I0 has the functions
 on (G/P_I)(k) for I between I0 and the full set, graded by the number of
 missing reflections, with signed pullback differentials.  Its homology is
@@ -12,7 +12,8 @@ The stalk machinery takes one flag, collects the rational subspaces whose
 induced type lies in the family, and checks that the order complex of that
 poset is acyclic, exhibiting the contraction U -> U + U0 predicted by the
 poset contraction criterion; stalk_counts runs it over every flag of a type
-that may lie on the closed stratum.
+that may lie on the closed stratum.  Only this stalk half reads slopes and
+flagenum, through `_flag_layers`, so `kcomplex` never loads them.
 """
 
 from __future__ import annotations
@@ -20,29 +21,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, combinations
 
-from .cohomology import dim_induced, dim_v
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
 from .exactalg.subspaces import (
-    SubspaceGF,
-    enumerate_subspaces,
-    rational_positions,
-    rational_subspaces,
-    subspaces_within,
+    SubspaceGF, enumerate_subspaces, rational_positions, rational_subspaces, subspaces_within,
 )
-from .flagenum import enumerate_flags, flag_orbits
 from .records import Record
-from .slopes import (
-    ClosedFamily,
-    FilteredSpace,
-    SlopeFunction,
-    induced_degree,
-    induced_type,
-    scaled_degrees,
-)
-from .weyl import ParabolicType
+from .weyl import ParabolicType, dim_induced, dim_v
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +173,28 @@ def verify_K(i0: ParabolicType, q: int) -> KComplexReport:
     return KComplexReport(i0, q, complex_.dims, homology, expected_top, passed)
 
 
+def corruptible(ptype: ParabolicType) -> bool:
+    """Complexes with a single differential cannot witness a broken sign."""
+    return len(ptype.complement()) >= 2
+
+
+def induction_report(ptype: ParabolicType, q: int, signs: str) -> KComplexReport:
+    """verify_K under the position signs; under the "index" corruption hook the
+    build must raise at its composition-zero validation."""
+    if signs == "position":
+        return verify_K(ptype, q)
+    build_K(ptype, q, signs=signs)
+    raise InternalCheckError("corrupted sign convention unexpectedly composed to zero")
+
+
 # -- stalk subcomplexes --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _flag_layers():
+    """slopes and flagenum, imported on first use rather than with this module."""
+    from . import flagenum, slopes
+    return slopes, flagenum
 
 
 def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> tuple[int, ...]:
@@ -195,7 +203,8 @@ def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> tuple[int, ...]:
     depends only on the degree, so the flag's integer degree vector
     (`scaled_degrees`) is compared with the family's scaled threshold."""
     least = family.least_scaled_degree(flag.slope.scale)
-    return tuple(i for i, degree in enumerate(scaled_degrees(flag)) if degree >= least)
+    degrees = _flag_layers()[0].scaled_degrees(flag)
+    return tuple(i for i, degree in enumerate(degrees) if degree >= least)
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +284,7 @@ def quillen_witness(verts: tuple[int, ...], flag: FilteredSpace, family: ClosedF
     cross-check of the degree vector `build_stalk` read."""
     if not verts:
         raise ConfigError("no witness for an empty poset")
-    p, d = flag.field.p, flag.slope.d
+    p, d, induced_type = flag.field.p, flag.slope.d, _flag_layers()[0].induced_type
     subs, vert_set, u0 = rational_subspaces(p, d), set(verts), verts[0]
     for i in verts:
         j = _join(p, d, i, u0)
@@ -305,7 +314,7 @@ def stalk_counts(g: SlopeFunction, family: ClosedFamily, p: int, n: int) -> tupl
     for the whole orbit; the flags `flag_orbits` certifies off the closed
     stratum have empty stalks, which pass."""
     flags = in_y = failed = 0
-    for flag, size in flag_orbits(g, p, n, family):
+    for flag, size in _flag_layers()[1].flag_orbits(g, p, n, family):
         flags += size
         if flag is not None:
             rep = stalk_report(flag, family)
@@ -330,7 +339,8 @@ def closed_stratum_count(
     full = SubspaceGF.full(make_field(p, 1), g.d)
     standards = tuple(SubspaceGF(full.field, g.d, full.basis[:i]) for i in ptype.complement())
     least = family.least_scaled_degree(g.scale)
+    slopes, flagenum = _flag_layers()
     return sum(
-        all(induced_degree(flag, std) >= least for std in standards)
-        for flag in enumerate_flags(g, p, 1)
+        all(slopes.induced_degree(flag, std) >= least for std in standards)
+        for flag in flagenum.enumerate_flags(g, p, 1)
     )

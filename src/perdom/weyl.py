@@ -8,20 +8,21 @@ A weakly decreasing rational vector mu plays the role of a cocharacter.
 Its stabilizer is the parabolic subgroup generated by the reflections
 fixing equal neighbours; the minimal-length coset representatives modulo
 that stabilizer are the permutations increasing on each block of equal
-entries.
+entries.  A parabolic type's representation dimensions, dim_induced and
+dim_v, are q-counts of its partial flags.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ConfigError
+from .errors import ConfigError, InternalCheckError
+from .exactalg.qcount import q_binomial, q_multinomial, require_prime
 from .records import Record, setfield
 
 Perm = tuple[int, ...]
-Cocharacter = tuple[Fraction, ...]
+Cocharacter = tuple  # of Fractions; a plain alias, so weyl never loads fractions
 
 
 def identity(d: int) -> Perm:
@@ -137,6 +138,31 @@ class ParabolicType(Record):
 
     def sort_key(self):
         return (len(self.gens), self.gens)
+
+
+@lru_cache(maxsize=None)
+def dim_induced(parabolic: ParabolicType, q: int) -> int:
+    """Number of partial flags of the parabolic's block type over GF(q)."""
+    require_prime(q)
+    return q_multinomial(parabolic.composition(), q)
+
+
+@lru_cache(maxsize=None)
+def dim_v(parabolic: ParabolicType, q: int) -> int:
+    """Dimension of the generalized Steinberg module: the Moebius sum of the
+    induced dims over the supersets of the parabolic's reflection set, with
+    its terms grouped by their largest kept cut.  Over the cuts 0 = k_0 <
+    k_1 < ... < k_m < k_(m+1) = d, F(0) = 1 and F(j) = sum over i < j of
+    (-1)^(j-1-i) [k_j; k_i]_q F(i), and the dimension is F(m+1)."""
+    require_prime(q)
+    cuts = (0, *parabolic.complement(), parabolic.d)
+    f = [1]
+    for j in range(1, len(cuts)):
+        f.append(sum((-1) ** (j - 1 - i) * q_binomial(cuts[j], cuts[i], q) * f[i]
+                     for i in range(j)))
+    if f[-1] <= 0:
+        raise InternalCheckError(f"nonpositive Steinberg dimension for {parabolic}")
+    return f[-1]
 
 
 def parabolic_types(d: int):

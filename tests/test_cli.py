@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import perdom.complexes
-from perdom import cli
+from perdom import cli, weyl
 from perdom.cli import main
 from perdom.errors import InternalCheckError
 
@@ -97,14 +97,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # main() with every enumeration entry point patched to raise
 GUARDED_MAIN = """
 import sys
-from perdom import checks, cli, cohomology, flagenum, weyl
+from perdom import cli, cohomology, complexes, flagenum, weyl
 
 def unguarded(*args, **kwargs):
     raise AssertionError("the enumeration ran before the budget check")
 
 cohomology.table_open = weyl.parabolic_types = unguarded
 flagenum.enumerate_flags = flagenum.count_points = unguarded
-checks.induction_report = unguarded
+complexes.induction_report = unguarded
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -176,17 +176,17 @@ def test_table_and_dims_exit_four_before_enumerating(argv):
 
 
 def test_table_and_dims_budget_bounds(capsys, monkeypatch):
-    # 3!/1 = 6 representatives for (2, 1, -3) at d^2 = 9 units each; 3^2 = 9
-    # Moebius terms for d = 3
+    # 3!/1 = 6 representatives for (2, 1, -3) at d^2 = 9 units each; for
+    # d = 3, dim v takes 1 + 3 + 3 + 6 = 13 q-binomials over the four types
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "53")[0] == 4
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2", "--budget", "54")[0] == 0
     assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "26")[0] == 4
     assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "27")[0] == 0
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "8")[0] == 4
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "9")[0] == 0
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "12")[0] == 4
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "13")[0] == 0
     # --oracle adds d^2 units for each of the 36 points of all coset spaces of GF(2)^3
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "332")[0] == 4
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "333")[0] == 0
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "336")[0] == 4
+    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "337")[0] == 0
     # each n adds 3 units per representative: 6 * (9 + 3 * 3) = 108
     table = ("table", "--g", "2,1,-3", "--q", "2", "--n", "1..3")
     assert run(capsys, *table, "--budget", "107")[0] == 4
@@ -198,6 +198,30 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     monkeypatch.setenv("PERDOM_BUDGET", "5")
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2")[0] == 4
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_dims_price_bounds_the_q_binomials_dim_v_takes(capsys, monkeypatch, q):
+    # the price counts the q-binomials of dim v's cut-set recursion: a budget
+    # one below the terms it took refuses the command, their count admits it
+    monkeypatch.delenv("PERDOM_BUDGET", raising=False)
+    terms = []
+    q_binomial = weyl.q_binomial
+    monkeypatch.setattr(weyl, "q_binomial", lambda *args: terms.append(args) or q_binomial(*args))
+    for d in range(1, 9):
+        dims = ("dims", "--d", str(d), "--q", str(q))
+        weyl.dim_v.cache_clear()
+        terms.clear()
+        assert run(capsys, *dims)[0] == 0
+        assert run(capsys, *dims, "--budget", str(len(terms) - 1))[0] == 4
+        assert run(capsys, *dims, "--budget", str(len(terms)))[0] == 0
+
+
+def test_dims_d16_fits_the_default_budget(capsys, monkeypatch):
+    # 1,384,448 q-binomials, below the default budget of 10^7
+    monkeypatch.delenv("PERDOM_BUDGET", raising=False)
+    code, out, _ = run(capsys, "dims", "--d", "16", "--q", "2")
+    assert code == 0 and out.count("\n") == 2**15
 
 
 @pytest.mark.parametrize(
@@ -495,7 +519,8 @@ def test_missing_subcommand_exits_two(capsys):
 
 
 # runs the CLI, then prints as the last stderr line the perdom modules it
-# loaded and whether it loaded dataclasses, and exits with the CLI's code
+# loaded and whether it loaded dataclasses, as the last stdout line whether
+# it loaded fractions and decimal, and exits with the CLI's code
 LOADED_MODULES = (
     "import sys\n"
     "from perdom import cli\n"
@@ -505,6 +530,7 @@ LOADED_MODULES = (
     "    code = exc.code\n"
     "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'perdom')\n"
     "print(' '.join(mods), 'dataclasses' in sys.modules, file=sys.stderr)\n"
+    "print('fractions' in sys.modules, 'decimal' in sys.modules)\n"
     "sys.exit(code)\n"
 )
 
@@ -516,28 +542,32 @@ def test_help_loads_no_layer_module():
     assert err.split() == ["perdom", "perdom.cli", "perdom.errors", "False"]
 
 
-FORMULA_LAYERS = (
-    "perdom", "perdom.cli", "perdom.cohomology", "perdom.errors", "perdom.exactalg",
-    "perdom.exactalg.qcount", "perdom.records", "perdom.slopes", "perdom.weyl",
+WEYL_LAYERS = (
+    "perdom", "perdom.cli", "perdom.errors", "perdom.exactalg", "perdom.exactalg.qcount",
+    "perdom.records", "perdom.weyl",
 )
-FIELD_LAYERS = (*FORMULA_LAYERS, "perdom.exactalg.gf", "perdom.exactalg.subspaces")
-COMPLEX_LAYERS = (*FIELD_LAYERS, "perdom.complexes", "perdom.exactalg.rational", "perdom.flagenum")
+FORMULA_LAYERS = (*WEYL_LAYERS, "perdom.cohomology", "perdom.slopes")
+FIELDS = ("perdom.exactalg.gf", "perdom.exactalg.subspaces")
+INDUCTION_LAYERS = (*WEYL_LAYERS, *FIELDS, "perdom.complexes", "perdom.exactalg.rational")
+STALK_LAYERS = (*INDUCTION_LAYERS, "perdom.flagenum", "perdom.slopes")
 
 
-@pytest.mark.parametrize("argv,modules", [
-    ("table --drinfeld 3 --q 2 --n 1..2", FORMULA_LAYERS),
-    ("zeta --g 2,1,-3 --q 2 --n 1", (*FIELD_LAYERS, "perdom.flagenum")),
-    ("stalk --g 2,1,-3 --q 2 --n 1", COMPLEX_LAYERS),
-    ("kcomplex --d 3 --q 2", (*COMPLEX_LAYERS, "perdom.checks")),
-    ("dims --d 3 --q 2", FORMULA_LAYERS),
-    ("dims --d 3 --q 2 --oracle", COMPLEX_LAYERS),
-    ("verify-all --quick", (*COMPLEX_LAYERS, "perdom.checks")),
+@pytest.mark.parametrize("argv,modules,rationals", [
+    ("table --drinfeld 3 --q 2 --n 1..2", FORMULA_LAYERS, True),
+    ("zeta --g 2,1,-3 --q 2 --n 1", (*FORMULA_LAYERS, *FIELDS, "perdom.flagenum"), True),
+    ("stalk --g 2,1,-3 --q 2 --n 1", STALK_LAYERS, True),
+    ("kcomplex --d 3 --q 2", INDUCTION_LAYERS, False),
+    ("dims --d 3 --q 2", WEYL_LAYERS, False),
+    ("dims --d 3 --q 2 --oracle", INDUCTION_LAYERS, False),
+    ("verify-all --quick", (*STALK_LAYERS, "perdom.checks", "perdom.cohomology"), True),
 ], ids=["table", "zeta", "stalk", "kcomplex", "dims", "dims-oracle", "verify-all"])
-def test_commands_load_their_layers_without_dataclasses(argv, modules):
-    # records are plain classes: no command pays for importing dataclasses
-    code, _, err = run_bounded(argv.split(), LOADED_MODULES)
+def test_commands_load_their_layers_without_dataclasses(argv, modules, rationals):
+    # records are plain classes: no command pays for importing dataclasses,
+    # and the commands that read no slope value load no rational numbers
+    code, out, err = run_bounded(argv.split(), LOADED_MODULES)
     assert code == 0
     assert err.splitlines()[-1].split() == [*sorted(modules), "False"]
+    assert out.splitlines()[-1].split() == [str(rationals)] * 2
 
 
 def test_formula_layers_import_no_field_or_enumeration_module():

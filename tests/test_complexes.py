@@ -443,9 +443,11 @@ def test_closed_stratum_count_rank_four():
 PACKAGE = Path(cx.__file__).resolve().parent
 
 
-def intra_package_imports() -> dict[str, set[str]]:
+def intra_package_imports(module_level: bool = False) -> dict[str, set[str]]:
     """For each perdom module, the perdom modules it imports with a relative
-    `from` statement anywhere in its body, function-local ones included."""
+    `from` statement anywhere in its body, function-local ones included, or
+    with module_level only those among its top-level statements, which run
+    whenever the module is imported."""
     modules = {}  # module name -> (file, the package its relative imports start from)
     for path in PACKAGE.rglob("*.py"):
         parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
@@ -454,7 +456,8 @@ def intra_package_imports() -> dict[str, set[str]]:
     graph = {}
     for name, (path, package) in modules.items():
         edges = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body if module_level else ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 base = package.rsplit(".", node.level - 1)[0]
                 target = f"{base}.{node.module}" if node.module else base
@@ -464,9 +467,34 @@ def intra_package_imports() -> dict[str, set[str]]:
     return graph
 
 
+FIELD_MODULES = {"perdom.exactalg.gf", "perdom.exactalg.subspaces"}
+# modules that a module must not load when it is imported, directly or through
+# another module: the induction complexes run without the slope, flag, formula
+# and check layers, and the formula layers without a finite field
+FORBIDDEN_AT_IMPORT = {
+    "perdom.complexes": {"perdom.slopes", "perdom.flagenum", "perdom.cohomology", "perdom.checks"},
+    "perdom.cohomology": FIELD_MODULES,
+    "perdom.slopes": FIELD_MODULES,
+    "perdom.weyl": FIELD_MODULES,
+}
+
+
+def test_module_level_imports_keep_the_layer_boundaries():
+    graph = intra_package_imports(module_level=True)
+    # the stalk half of complexes imports slopes inside a function
+    assert "perdom.weyl" in graph["perdom.complexes"]
+    assert "perdom.slopes" in intra_package_imports()["perdom.complexes"]
+    for name, forbidden in FORBIDDEN_AT_IMPORT.items():
+        loaded, todo = set(), [name]
+        while todo:
+            new = graph[todo.pop()] - loaded
+            loaded |= new
+            todo.extend(new)
+        assert not loaded & forbidden, (name, sorted(loaded & forbidden))
+
+
 def test_package_import_graph_has_no_cycle():
     graph = intra_package_imports()
-    assert "perdom.cohomology" in graph["perdom.complexes"]
     state: dict[str, str] = {}
 
     def visit(name, path):

@@ -18,9 +18,7 @@ from .exactalg.gf import check_field, make_field
 from .exactalg.qcount import capped, q_binomial, q_multinomial
 from .exactalg.subspaces import SubspaceGF, enumerate_chains, rational_subspaces
 from .records import Record
-from .slopes import (
-    ClosedFamily, FilteredSpace, SlopeFunction, induced_degree, meet_dim, meet_entry,
-)
+from .slopes import ClosedFamily, FilteredSpace, MeetStore, SlopeFunction, induced_degree
 
 
 class CountReport(Record):
@@ -49,29 +47,25 @@ def classification_tests(g: SlopeFunction, p: int, n: int, cap=None):
     return capped(flags * subspaces, cap)
 
 
-def enumerate_flags(g: SlopeFunction, p: int, n: int, expand=None):
+def enumerate_flags(g: SlopeFunction, p: int, n: int, expand=None, store=None):
     """Yield every flag of type g over GF(p^n) exactly once, walking its
     chains of proper members from the largest down; all of them share one
-    table of meet dims.  Given `expand`, each member W the walk reaches is
-    first passed to it as a head, FilteredSpace(W, whole space) on that
-    table, with the state of the node above W (None for a largest proper
-    member); it returns the state for the members under W, or None to leave
-    out every flag through W."""
-    field = make_field(p, n)
-    proper_dims = g.cumulative_dims()[:-1]
+    MeetStore, `store` when given.  Given `expand`, each member W the walk
+    reaches is first passed to it with the state of the node above W (None
+    for a largest proper member); it returns the state for the members under
+    W, or None to leave out every flag through W."""
+    store = MeetStore(make_field(p, n), g) if store is None else store
+    field = store.field
     full = SubspaceGF.full(field, g.d)
-    meets: dict = {}
-    heads = None if expand is None else (
-        lambda member, state: expand(FilteredSpace(field, g, (member, full), meets), state))
-    for chain in enumerate_chains(field, g.d, proper_dims, heads):
-        yield FilteredSpace(field, g, chain + (full,), meets)
+    for chain in enumerate_chains(field, g.d, g.cumulative_dims()[:-1], expand):
+        yield FilteredSpace(field, g, chain + (full,), store)
 
 
-def _stable_tops(g: SlopeFunction, family: ClosedFamily, p: int, n: int, skipped: list):
+def _stable_tops(g: SlopeFunction, family: ClosedFamily, store: MeetStore, skipped: list):
     """flag_orbits' test of a largest proper member W, which it reaches once
-    per Frobenius orbit of W: stable(head, orbit size) is true when every
-    flag under W is off the closed stratum; None when no W can pass.
-    With m = dim(U (x) k meet W) from W's meet row, every flag under W has
+    per Frobenius orbit of W: stable(W, orbit size) is true when every flag
+    under W is off the closed stratum; None when no W can pass.
+    With m = dim(U (x) k meet W) from the store, every flag under W has
     scale * deg U <= top * dim U + w_{r-1} m + sum_{j<r-1} w_j min(m, c_j)
     (jump weights w_j > 0, top = scale * v_r); W passes when that is below
     the family's least scaled degree for every rational U.  Its images pass
@@ -89,11 +83,11 @@ def _stable_tops(g: SlopeFunction, family: ClosedFamily, p: int, n: int, skipped
             for dim in range(1, g.d)}
     if 0 in need.values():  # such a U reaches it under every W
         return None
-    tests = [(u, need[u.dim]) for u in rational_subspaces(p, g.d) if need[u.dim] is not None]
-    under = q_multinomial(g.mults[:-1], p**n)
+    tests = [(u, need[u.dim]) for u in store.subspaces if need[u.dim] is not None]
+    under = q_multinomial(g.mults[:-1], store.field.order)
 
-    def stable(head: FilteredSpace, size: int) -> bool:
-        if all(meet_dim(head, 0, u) < m for u, m in tests):
+    def stable(member: SubspaceGF, size: int) -> bool:
+        if all(store.meet(member, u) < m for u, m in tests):
             skipped[0] += under * size
             return True
         return False
@@ -110,32 +104,31 @@ def flag_orbits(g: SlopeFunction, p: int, n: int, family: ClosedFamily | None = 
     The walk picks it node by node: a chain from the largest member down to
     W is fixed by sigma^s (s = 1 above the largest member), and a member V
     under W is expanded only when its basis is least among its images under
-    sigma^s, read from the meet store (`meet_entry`); the chain through V is
+    sigma^s, read from the enumeration's MeetStore; the chain through V is
     then fixed by sigma^(s t), t being V's orbit size under sigma^s, and a
     flag's orbit size is its last such s.  At n = 1 every flag comes, size 1.
     Given a family, and where g has at least two proper members, the flags
-    under a largest proper member whose meet row shows them all off the
+    under a largest proper member whose meet dims show them all off the
     family's closed stratum (`_stable_tops`) are not built; they come last,
     as one (None, their number)."""
-    skipped = [0]
-    stable = None if family is None or len(g.pairs) < 3 else _stable_tops(g, family, p, n, skipped)
+    store, skipped = MeetStore(make_field(p, n), g), [0]
+    stable = None if family is None or len(g.pairs) < 3 else _stable_tops(g, family, store, skipped)
     # the walk is depth first, so the last period set is the yielded flag's
     period = 1
 
-    def expand(head: FilteredSpace, above: int | None) -> int | None:
+    def expand(member: SubspaceGF, above: int | None) -> int | None:
         nonlocal period
         step = 1 if above is None else above
-        basis = head.members[0].basis
-        orbit = meet_entry(head, basis)[0][::step]
-        if basis != min(orbit):
+        orbit = store.orbit(member.basis)[::step]
+        if member.basis != min(orbit):
             return None
         size = len(set(orbit))
-        if above is None and stable is not None and stable(head, size):
+        if above is None and stable is not None and stable(member, size):
             return None
         period = step * size
         return period
 
-    for flag in enumerate_flags(g, p, n, expand):
+    for flag in enumerate_flags(g, p, n, expand, store):
         yield flag, period
     if skipped[0]:
         yield None, skipped[0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import ceil, floor, lcm
 from operator import mul
@@ -264,99 +263,84 @@ def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
 UNKNOWN = 255  # a meet-row entry not computed yet; a dim never reaches it
 
 
-@lru_cache(maxsize=None)
-def _rational(p: int, d: int) -> tuple[tuple, dict, bytes]:
-    """`rational_subspaces(p, d)`, `rational_positions(p, d)` and the dim of
-    each subspace in that order.  The subspace layer is imported here, on the
-    first flag of a (p, d), so the formula layers never load it."""
-    from .exactalg import subspaces
-    subs = subspaces.rational_subspaces(p, d)
-    return subs, subspaces.rational_positions(p, d), bytes(u.dim for u in subs)
+class MeetStore:
+    """The meet dims of one enumeration's members with the rational subspaces
+    U of the prime-field d-space, which depend only on the pair.  `entries`
+    maps a member basis to (images, row): its Frobenius images under
+    x -> x^p, starting at the basis itself, and its meet row, a bytearray
+    whose entry at the position of U in `rational_subspaces(p, d)` is
+    dim(U (x) k meet member), or UNKNOWN.  A rational U is fixed by the
+    Frobenius, so a member's images share its row.  At n = 1 every member is
+    itself rational, so a U of a member dim of the slope's type can be one:
+    one intersection fills dim(U meet W) in W's row and in U's."""
+
+    def __init__(self, field: FieldSpec, slope: SlopeFunction):
+        # imported here, not with this module, so the formula layers never load it
+        from .exactalg.subspaces import rational_positions, rational_subspaces
+        self.field, self.entries = field, {}
+        self.subspaces = rational_subspaces(field.p, slope.d)
+        self.positions = rational_positions(field.p, slope.d)
+        self.mirrored = set(slope.cumulative_dims()[:-1]) if field.n == 1 else ()
+
+    def _entry(self, basis) -> tuple[tuple, bytearray]:
+        """The (images, row) filed under a member basis, made on first use for
+        all of its Frobenius images at once: each image's tuple is the same
+        orbit rotated to start at that image, and they share one row."""
+        entry = self.entries.get(basis)
+        if entry is None:
+            images = [basis]
+            for _ in range(self.field.n - 1):  # the n-th image is the member itself
+                images.append(self.field.frobenius(images[-1]))
+            row = bytearray([UNKNOWN]) * len(self.positions)
+            for k, image in enumerate(images):
+                self.entries[image] = (tuple(images[k:] + images[:k]), row)
+            entry = self.entries[basis]
+        return entry
+
+    def orbit(self, basis) -> tuple:
+        """The Frobenius images of a member basis, starting at the basis."""
+        return self._entry(basis)[0]
+
+    def row(self, basis) -> bytearray:
+        """The meet row of a member basis, shared by its Frobenius images."""
+        return self._entry(basis)[1]
+
+    def meet(self, member: SubspaceGF, u: SubspaceGF, known: int | None = None) -> int:
+        """dim(U (x) k meet member) for a proper nonzero rational U, read from
+        the member's row or filled there (by `known`, else by one intersection)
+        and, where U can be a member, in U's row."""
+        i = self.positions[u.basis]
+        row = self.row(member.basis)
+        meet = row[i]
+        if meet == UNKNOWN:
+            if known is None:
+                # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
+                known = type(u)(self.field, member.ambient_dim, u.basis).intersect(member).dim
+            meet = row[i] = known
+            if u.dim in self.mirrored:
+                self.row(u.basis)[self.positions[member.basis]] = meet
+        return meet
 
 
 class FilteredSpace(Record):
-    """A flag of type g over an extension field.
-
-    members[j] realizes the filtration step at the j-th largest slope value;
-    dims grow by the multiplicities, and the last member is the full space.
-    meets maps a member's basis to (images, row): its Frobenius images under
-    x -> x^p, starting at the basis itself, and its meet row, a bytearray
-    whose entry at the position of U in `rational_subspaces(p, d)` is
-    dim(U (x) k meet member), or UNKNOWN.  All flags of one enumeration share
-    meets, since the dim depends only on the pair.  A rational U is fixed by
-    the Frobenius, so dim(U meet W) = dim(U meet sigma(W)): a member's images
-    share its row, and at n = 1, where every member is itself rational, one
-    intersection fills dim(U meet W) in W's row and in U's.  A head, whose
-    members are only a member W of the chain walk and the whole space, is
-    read through `meet_entry` and `meet_dim` alone, before any flag through W
-    is built.
-    """
+    """A flag of type g over an extension field: members[j] realizes the
+    filtration step at the j-th largest slope value, dims grow by the
+    multiplicities, and the last member is the full space.  Its meet dims
+    are read from and filled into `store`, the MeetStore that all flags of
+    one enumeration share (a fresh one by default)."""
 
     _fields = ("field", "slope", "members")
 
     def __init__(self, field: FieldSpec, slope: SlopeFunction,
-                 members: tuple[SubspaceGF, ...], meets: dict | None = None):
-        # not `meets or {}`: an enumeration's shared store starts out empty
+                 members: tuple[SubspaceGF, ...], store: MeetStore | None = None):
         self.__dict__.update(field=field, slope=slope, members=members,
-                             meets={} if meets is None else meets)
-
-    @lazy
-    def positions(self) -> dict:
-        """`rational_positions` of the prime-field d-space."""
-        return _rational(self.field.p, self.members[-1].ambient_dim)[1]
+                             store=MeetStore(field, slope) if store is None else store)
 
     @lazy
     def rows(self) -> tuple[bytearray, ...]:
         """The meet rows of the proper members, resolved once per flag."""
-        return tuple(meet_entry(self, m.basis)[1] for m in self.members[:-1])
-
-    @lazy
-    def mirrors(self):
-        """At n = 1: (the proper member dims of the slope's type, which a
-        head lacks, and the position of each proper member); otherwise None."""
-        if self.field.n > 1:
-            return None
-        positions = tuple(self.positions[m.basis] for m in self.members[:-1])
-        return set(self.slope.cumulative_dims()[:-1]), positions
-
-
-def meet_entry(flag: FilteredSpace, basis) -> tuple[tuple, bytearray]:
-    """The (images, row) filed under a member basis, made on first use for
-    all of its Frobenius images at once: each image's tuple is the same
-    orbit rotated to start at that image, and they share one row."""
-    entry = flag.meets.get(basis)
-    if entry is None:
-        field = flag.field
-        images = [basis]
-        for _ in range(field.n - 1):  # the n-th image is the member itself
-            images.append(field.frobenius(images[-1]))
-        row = bytearray([UNKNOWN]) * len(flag.positions)
-        for k, image in enumerate(images):
-            flag.meets[image] = (tuple(images[k:] + images[:k]), row)
-        entry = flag.meets[basis]
-    return entry
-
-
-def _store(flag: FilteredSpace, j: int, u: SubspaceGF, i: int, meet: int):
-    """Record dim(U meet members[j]) for the rational U at position i, and
-    the same dim in U's own row where U can be a member (see `mirrors`)."""
-    flag.rows[j][i] = meet
-    mirrors = flag.mirrors
-    if mirrors is not None and u.dim in mirrors[0]:
-        meet_entry(flag, u.basis)[1][mirrors[1][j]] = meet
-
-
-def meet_dim(flag: FilteredSpace, j: int, u: SubspaceGF) -> int:
-    """dim(U (x) k meet members[j]) for a proper nonzero rational U, read
-    from the meet row or filled there by one intersection."""
-    i = flag.positions[u.basis]
-    meet = flag.rows[j][i]
-    if meet == UNKNOWN:
-        # GF(p) embeds as the constants 0..p-1, so u.basis is U (x) k's basis
-        member = flag.members[j]
-        meet = type(u)(flag.field, member.ambient_dim, u.basis).intersect(member).dim
-        _store(flag, j, u, i, meet)
-    return meet
+        row = self.store.row
+        return tuple(row(m.basis) for m in self.members[:-1])
 
 
 def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
@@ -371,23 +355,24 @@ def _graded_dims(flag: FilteredSpace, u: SubspaceGF) -> tuple[int, ...]:
     rational = (u.field.p, u.field.n, u.ambient_dim) == (field.p, 1, d)
     if rational and u.dim == d:
         return flag.slope.mults
-    i = flag.positions.get(u.basis) if rational else None
+    store = flag.store
+    i = store.positions.get(u.basis) if rational else None
     if i is None:
         raise ConfigError(f"induced type needs a nonzero subspace of GF({field.p})^{d}")
-    rows = flag.rows
-    out = [0] * len(flag.members)
+    rows, members = flag.rows, flag.members
+    out = [0] * len(members)
     dim, j = u.dim, len(out) - 1
     while j and dim:
         meet = rows[j - 1][i]
         if meet == UNKNOWN:
-            meet = meet_dim(flag, j - 1, u)
+            meet = store.meet(members[j - 1], u)
         out[j], dim = dim - meet, meet
         j -= 1
     out[j] = dim
     if not dim:
         for k in range(j):  # the members below the zero meet
             if rows[k][i] == UNKNOWN:
-                _store(flag, k, u, i, 0)
+                store.meet(members[k], u, 0)
     return tuple(out)
 
 
@@ -405,15 +390,14 @@ def scaled_degrees(flag: FilteredSpace) -> list[int]:
     """slope.scale times the induced degree of every rational subspace, in
     `rational_subspaces` order, read from the flag's meet rows by Abel
     summation: deg U = sum_j (v_j - v_{j+1}) dim(U meet F_j) + v_r dim U."""
-    subs, _, dims = _rational(flag.field.p, flag.members[-1].ambient_dim)
-    rows = flag.rows
+    subs, rows = flag.store.subspaces, flag.rows
     for row in rows:
         i = row.find(UNKNOWN)
         while i >= 0:
             _graded_dims(flag, subs[i])  # fills column i
             i = row.find(UNKNOWN, i + 1)
     *weights, top = flag.slope.jump_weights
-    out = [top * dim for dim in dims]
+    out = [top * u.dim for u in subs]
     for weight, row in zip(weights, rows):
         out = [deg + weight * meet for deg, meet in zip(out, row)]
     return out

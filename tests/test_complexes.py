@@ -28,6 +28,7 @@ from perdom.slopes import (
     UNKNOWN,
     ClosedFamily,
     FilteredSpace,
+    MeetStore,
     drinfeld,
     from_values,
     induced_type,
@@ -323,7 +324,7 @@ def test_stalk_degree_vectors_equal_per_subspace_types(values, family, p, n):
     g, family = from_values(values), parse_family(family)
     subs = rational_subspaces(p, g.d)
     for flag in enumerate_flags(g, p, n):
-        fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
+        fresh = FilteredSpace(flag.field, flag.slope, flag.members, MeetStore(flag.field, g))
         expected = tuple(i for i, u in enumerate(subs) if family.contains(induced_type(flag, u)))
         assert cx.build_stalk(fresh, family) == expected
         assert cx.build_stalk(flag, family) == expected
@@ -360,12 +361,12 @@ def test_stalk_pass_intersects_and_joins_each_rational_pair_once(monkeypatch):
     assert 0 < calls["sum_with"] <= 351
     # at n = 1 every rational subspace is a member, and one intersection
     # fills dim(U meet W) in both rows
-    meets, position = flags[0].meets, rational_positions(p, g.d)
-    assert all(flag.meets is meets for flag in flags)
-    assert set(meets) == set(position)
+    store, position = flags[0].store, rational_positions(p, g.d)
+    assert all(flag.store is store for flag in flags)
+    assert set(store.entries) == set(position)
     for w in subs:
-        for u, dim in zip(subs, meets[w.basis][1]):
-            assert dim == meets[u.basis][1][position[w.basis]] == kernel_intersection(u, w).dim
+        for u, dim in zip(subs, store.row(w.basis)):
+            assert dim == store.row(u.basis)[position[w.basis]] == kernel_intersection(u, w).dim
 
 
 @pytest.mark.parametrize("g", [drinfeld(4), from_values([2, 1, 1, -4])])
@@ -378,7 +379,7 @@ def test_meet_rows_are_filed_only_under_members(monkeypatch, g):
     assert total == len(flags) and in_y and not failed
     members = {m.basis for flag in flags for m in flag.members[:-1]}
     for flag in flags:
-        assert flag.meets and set(flag.meets) <= members
+        assert flag.store.entries and set(flag.store.entries) <= members
         assert all(UNKNOWN not in row for row in flag.rows)
 
 

@@ -177,11 +177,35 @@ def test_shared_meet_table_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(flagenum, "enumerate_flags", recording)
     report = count_points(g, SS, p, n)
     assert len(flags) < report.total == flag_count(g, p, n)
-    meets = flags[0].meets
-    assert all(flag.meets is meets for flag in flags)
-    size = sum(dim != UNKNOWN for _images, row in meets.values() for dim in row)
+    store = flags[0].store
+    assert all(flag.store is store for flag in flags)
+    size = sum(dim != UNKNOWN for _images, row in store.entries.values() for dim in row)
     bound = sum(q_binomial(g.d, c, p**n) for c in g.cumulative_dims()[:-1]) * subspace_count(p, g.d)
     assert 0 < size <= bound
+
+
+def test_the_walk_builds_one_filtered_space_per_flag(monkeypatch):
+    # the chain walk's hook gets each member itself, so the only FilteredSpace
+    # built is each flag the walk yields: 315 for the stalks of (3,1,-1,-3)
+    # at n = 1, and one per orbit representative for count_points
+    built = []
+    init = slopes.FilteredSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(slopes.FilteredSpace, "__init__", counted)
+    assert stalk_counts(from_values([3, 1, -1, -3]), SS, 2, 1) == (315, 315, 0)
+    assert len(built) == 315
+    g = from_values([2, 1, -3])
+    built.clear()
+    count_points(g, SS, 2, 4)
+    classified = len(built)
+    built.clear()
+    yielded = sum(flag is not None for flag, _size in flag_orbits(g, 2, 4, SS))
+    assert classified == yielded == len(built)
+    assert 0 < yielded < flag_count(g, 2, 4)
 
 
 def test_frobenius_images_are_computed_once_per_orbit(monkeypatch):

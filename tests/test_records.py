@@ -13,7 +13,9 @@ from perdom.exactalg.rational import ChainComplexQ, MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF
 from perdom.flagenum import CountReport, enumerate_flags
 from perdom.records import Record
-from perdom.slopes import ClosedFamily, FilteredSpace, SlopeFunction, Subfunction, drinfeld
+from perdom.slopes import (
+    ClosedFamily, FilteredSpace, SlopeFunction, Subfunction, drinfeld, scaled_degrees,
+)
 from perdom.weyl import ParabolicType
 
 GF2 = make_field(2, 1)
@@ -85,11 +87,11 @@ def test_repr_reads_as_before(rec, text):
 
 def test_stores_and_caches_take_no_part():
     # a filled meet store or type cache leaves eq, hash and repr as they were
-    filled = FilteredSpace(GF2, G, FLAG.members, {"key": "entry"})
-    fresh = FilteredSpace(GF2, G, FLAG.members)
-    assert filled.meets != fresh.meets
+    filled, fresh = FilteredSpace(GF2, G, FLAG.members), FilteredSpace(GF2, G, FLAG.members)
+    scaled_degrees(filled)  # fills its store's rows
+    assert filled.store.entries != fresh.store.entries
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
-    assert "meets" not in repr(filled)
+    assert "store" not in repr(filled)
     used, unused = drinfeld(3), drinfeld(3)
     used.type_of((1, 0))
     assert used._types and not unused._types

@@ -10,12 +10,13 @@ from perdom.checks import dominates, enumerate_B, h_w_i, kappa
 from perdom.cohomology import kostant_cells
 from perdom.errors import ConfigError
 from perdom.exactalg.gf import make_field
-from perdom.exactalg.subspaces import SubspaceGF, rref
+from perdom.exactalg.subspaces import SubspaceGF, enumerate_subspaces, rational_positions, rref
 from perdom.flagenum import enumerate_flags, rational_subspaces
 from perdom.slopes import (
     ClosedFamily,
     FilteredSpace,
     UNKNOWN,
+    MeetStore,
     SlopeFunction,
     Subfunction,
     drinfeld,
@@ -352,9 +353,9 @@ def test_shared_meet_table_does_not_depend_on_visiting_order(values, p, n):
     # fills it in another order, and a flag with a fresh table must agree
     g = from_values(values)
     flags = list(enumerate_flags(g, p, n))
-    assert flags[0].meets is flags[-1].meets
+    assert flags[0].store is flags[-1].store
     for flag in reversed(flags):
-        fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
+        fresh = FilteredSpace(flag.field, flag.slope, flag.members, MeetStore(flag.field, g))
         for u in rational_subspaces(p, g.d):
             assert induced_type(flag, u) == induced_type(fresh, u)
 
@@ -370,39 +371,88 @@ def test_frobenius_images_of_a_member_share_its_meet_table(values, p, n):
     for flag in flags[::7]:
         for u in rational_subspaces(p, g.d):
             induced_type(flag, u)
-    meets, field = flags[0].meets, flags[0].field
-    assert all(flag.meets is meets for flag in flags)
+    store, field = flags[0].store, flags[0].field
+    assert all(flag.store is store for flag in flags)
     subs = rational_subspaces(p, g.d)
-    for basis, (images, row) in meets.items():
+    for basis, (images, row) in store.entries.items():
         # the images start at the key, each is the Frobenius of the one before,
-        # and each image's entry is the same orbit rotated, with the same row
+        # and each image's orbit is the same orbit rotated, with the same row
         assert len(images) == n and images[0] == basis
         assert [field.frobenius(b) for b in images] == [*images[1:], basis]
         for k, image in enumerate(images):
-            assert meets[image][0] == images[k:] + images[:k]
-            assert meets[image][1] is row
+            assert store.orbit(image) == images[k:] + images[:k]
+            assert store.row(image) is row
         assert len(row) == len(subs)
         member = SubspaceGF(field, g.d, basis)
         for u, dim in zip(subs, row):
             if dim != UNKNOWN:
                 uk = SubspaceGF.from_rows(field, g.d, u.basis)
                 assert kernel_intersection(uk, member).dim == dim
-    assert any(dim != UNKNOWN for _images, row in meets.values() for dim in row)
+    assert any(dim != UNKNOWN for _images, row in store.entries.values() for dim in row)
 
 
 @pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 2), ([1, 1, -2], 2, 1)])
 def test_one_enumeration_shares_one_store_from_the_start(values, p, n):
-    # the store is still empty when the first head and flag take it, so a
-    # flag must keep the dict it is given: `meets or {}` would unshare it
+    # the store is still empty when the first flag takes it, and every flag
+    # keeps the store it is given; the hook gets each member itself
     g = from_values(values)
-    heads = []
-    flags = list(enumerate_flags(g, p, n, expand=lambda head, state: heads.append(head) or 1))
-    meets = flags[0].meets
-    assert meets == {} and len(heads) > 1
-    assert all(space.meets is meets for space in flags + heads)
+    members = []
+    flags = list(enumerate_flags(g, p, n, expand=lambda member, state: members.append(member) or 1))
+    store = flags[0].store
+    assert store.entries == {} and len(members) > 1
+    assert all(flag.store is store for flag in flags)
+    assert {m for flag in flags for m in flag.members[:-1]} == set(members)
+    given = MeetStore(flags[0].field, g)
+    assert all(flag.store is given for flag in enumerate_flags(g, p, n, None, given))
     fresh = [FilteredSpace(flags[0].field, g, flags[0].members) for _ in range(2)]
-    assert fresh[0].meets == {} and fresh[0].meets is not fresh[1].meets
-    assert all(space.meets is not meets for space in fresh)
+    assert fresh[0].store.entries == {} and fresh[0].store is not fresh[1].store
+    assert all(space.store is not store for space in fresh)
+
+
+@pytest.mark.parametrize("known", [False, True])
+@pytest.mark.parametrize("values,p", [([1, 1, -2], 2), ([1, 1, -2], 3), ([2, 1, 1, -4], 2)])
+def test_a_meet_over_the_prime_field_mirrors_only_into_member_dims(values, p, known):
+    # over GF(p) one meet(W, U) fills W's row at U and, exactly when dim U is
+    # a member dim of the type (U can then be a member), U's row at W; the
+    # lines of GF(p)^3 under (1,1,-2) and the planes of GF(2)^4 under
+    # (2,1,1,-4) are never members, so they get no row
+    g, field = from_values(values), make_field(p, 1)
+    member_dims = set(g.cumulative_dims()[:-1])
+    subs, positions = rational_subspaces(p, g.d), rational_positions(p, g.d)
+    for w in (s for s in subs if s.dim in member_dims):
+        for u in subs:
+            store, dim = MeetStore(field, g), kernel_intersection(u, w).dim
+            assert store.meet(w, u, dim if known else None) == dim
+            assert store.row(w.basis)[positions[u.basis]] == dim
+            filled = [(b, i) for b, (_, row) in store.entries.items()
+                      for i, entry in enumerate(row) if entry != UNKNOWN]
+            if u.dim in member_dims and u != w:
+                assert filled == [(w.basis, positions[u.basis]), (u.basis, positions[w.basis])]
+                assert store.row(u.basis)[positions[w.basis]] == dim
+            else:
+                assert filled == [(w.basis, positions[u.basis])]
+
+
+@pytest.mark.parametrize("values,p,n", [([2, 1, -3], 2, 3), ([1, 1, -2], 3, 2)])
+def test_a_meet_over_an_extension_fills_one_row_for_every_image(values, p, n):
+    # over GF(p^n), n > 1, a member is not rational, so meet(W, U) files no
+    # row for U; the sigma-images of W share W's row, and the dims read there
+    # are those of each image's own intersection, since sigma fixes U
+    g, field = from_values(values), make_field(p, n)
+    subs = rational_subspaces(p, g.d)
+    w = next(s for s in enumerate_subspaces(field, g.d, g.cumulative_dims()[0])
+             if len(set(MeetStore(field, g).orbit(s.basis))) == n)
+    store = MeetStore(field, g)
+    images = store.orbit(w.basis)
+    for u in subs:
+        store.meet(w, u)
+    assert set(store.entries) == set(images)
+    for image in images:
+        member = SubspaceGF(field, g.d, image)
+        assert store.row(image) is store.row(w.basis)
+        dims = [kernel_intersection(SubspaceGF.from_rows(field, g.d, u.basis), member).dim
+                for u in subs]
+        assert [store.meet(member, u) for u in subs] == list(store.row(image)) == dims
 
 
 @pytest.mark.parametrize("filled", [False, True])
@@ -448,7 +498,7 @@ def test_induced_degree_is_the_degree_of_the_induced_type(seed, d, n):
     rng = random.Random(seed)
     g = random_slope_function(rng, d)
     flag = random_flag(rng, g, make_field(2, n))
-    fresh = FilteredSpace(flag.field, flag.slope, flag.members, {})
+    fresh = FilteredSpace(flag.field, flag.slope, flag.members, MeetStore(flag.field, g))
     subs = rational_subspaces(2, d)
     degrees = [induced_degree(fresh, u) for u in subs]
     assert scaled_degrees(flag) == degrees

@@ -1,13 +1,14 @@
-"""The verification checks behind `verify-all` and the acceptance suite.
+"""The one registry of verification checks: `verify-all` and the acceptance
+suite both run CHECKS, the ten acceptance criteria and the closed-strata count.
 
 Each check is a function `check(quick, family, signs) -> bool` over a fixed
 grid: the quick grid is a smoke test, the full grid covers every case of the
 acceptance criteria.  An InternalCheckError raised inside a check counts as a
-failure of that check.  `family` is the positive-degree family the stalk check
-classifies against; `signs` is the induction-complex sign convention, where
-"index" is the deliberately broken reading that must fail to compose to zero.
-CHECKS lists the checks in report order.  The prefix map that
-`check_prefix_map` checks, `kappa`, is built here, its only user.
+failure of that check.  `family` is the positive-degree family the trace and
+stalk checks classify against; `signs` is the induction-complex sign
+convention, where "index" is the deliberately broken reading that must fail to
+compose to zero.  CHECKS lists the checks in report order.  The prefix map
+that `check_prefix_map` checks, `kappa`, is built here, its only user.
 """
 
 from __future__ import annotations
@@ -82,6 +83,77 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
                     f"prefix map is not order-reversing at {u} <= {w}"
                 )
     return mapping
+
+
+def check_rank_three_table(quick, family, signs) -> bool:
+    """Criterion 1: the open table of (2,1,-3) at q = 2, degree by degree;
+    degrees 3 and 5 carry the Steinberg quotient of a maximal parabolic."""
+    by_degree = coh.table_open(slopes.from_values([2, 1, -3]), SS).by_degree()
+    dims_twists = {deg: sorted((coh.rep_dim(e.rep, 2), e.twist) for e in es)
+                   for deg, es in by_degree.items()}
+    return dims_twists == {
+        2: [(8, 0)], 3: [(6, -1)], 4: [(1, -2), (8, -1)], 5: [(6, -2)], 6: [(1, -3)]
+    } and all(e.rep.kind == coh.STEINBERG_QUOTIENT and e.rep.parabolic.gens in ((1,), (2,))
+              for deg in (3, 5) for e in by_degree[deg])
+
+
+def check_hyperplane_tower(quick, family, signs) -> bool:
+    """Criterion 2: entry i of the hyperplane complement's open table has
+    w = s_i...s_1 = (i+1, 1, ..., i, i+2, ..., d), I_w = {1..i} of
+    composition (i+1, 1, ..., 1), degree d-1+i, twist -i, and the Steinberg
+    quotient below the top entry, the trivial module at it."""
+    ok = True
+    for d in range(2, 5 if quick else 13):
+        expected = [((i + 1, *range(1, i + 1), *range(i + 2, d + 1)), i, tuple(range(1, i + 1)),
+                     tuple(range(i + 1, d)), d - 1 + i, -i, (i + 1,) + (1,) * (d - i - 1),
+                     coh.STEINBERG_QUOTIENT if i < d - 1 else coh.INDUCED) for i in range(d)]
+        got = [(e.w, e.length, e.i_w.gens, e.delta, e.degree, e.twist, e.i_w.composition(),
+                e.rep.kind) for e in coh.table_open(slopes.drinfeld(d), SS).entries]
+        ok = ok and got == expected
+    return ok
+
+
+# (values, q, extension degrees n) for the trace check, and the pinned open
+# counts at n = 1, 2, ... that it also compares under ss
+QUICK_TRACES = [((1, -1), 2, (1, 2, 3)), ((2, 1, -3), 2, (1, 2))]
+TRACES = [
+    ((1, -1), 2, (1, 2, 3)), ((1, -1), 3, (1, 2, 3)), ((2, 1, -3), 2, range(1, 8)),
+    ((1, 1, -2), 2, (1, 2)), ((1, 1, -1, -1), 2, (1, 2)), ((3, 1, -1, -3), 2, (1, 2)),
+    ((1, 1, -2), 3, (1, 2, 3)), ((2, 2, 2, -3, -3), 2, (1, 2)),
+]
+OPEN_COUNTS = {
+    ((1, -1), 2): (0, 2, 6),
+    ((1, -1), 3): (0, 6, 24),
+    ((2, 1, -3), 2): (0, 0, 216, 2856, 27720, 241800, 2015496),
+}
+
+
+def check_traces(quick, family, signs) -> bool:
+    """Criterion 3: the open, closed and cell-total trace predictions equal
+    the brute-force counts (in_open, in_y, total), whose first two sum to
+    the third, on the family; under ss the open counts equal pinned values."""
+    ok = True
+    for values, q, ns in QUICK_TRACES if quick else TRACES:
+        g = slopes.from_values(values)
+        for n in ns:
+            predicted = coh.predicted_counts(g, family, q, n)
+            report = flagenum.count_points(g, family, q, n)
+            ok = ok and predicted == (report.in_open, report.in_y, report.total)
+            if family == SS and (values, q) in OPEN_COUNTS:
+                ok = ok and predicted[0] == OPEN_COUNTS[values, q][n - 1]
+    return ok
+
+
+def check_degree_reversal(quick, family, signs) -> bool:
+    """Criterion 5: (1,3,4,2,5) <= (1,3,4,5,2) in the Bruhat order, yet their
+    degrees 2 length(w) + #(missing reflections) are (8, 7)."""
+    small, big = (1, 3, 4, 2, 5), (1, 3, 4, 5, 2)
+    ok = bruhat_leq(small, big)
+    for values in ((4, 3, 2, 1, -10), (5, 4, 3, 2, -14)):
+        cells = coh.kostant_cells(slopes.from_values(values).mu, SS)
+        degree = {w: 2 * lw + len(iw.complement()) for w, lw, iw in cells}
+        ok = ok and (degree.get(small), degree.get(big)) == (8, 7)
+    return ok
 
 
 def check_prefix_map(quick, family, signs) -> bool:
@@ -172,9 +244,13 @@ def check_closed_strata(quick, family, signs) -> bool:
 
 
 CHECKS = (
+    ("rank-3 mixed-slope table reproduced exactly", check_rank_three_table),
+    ("hyperplane-complement tables follow the closed-form tower", check_hyperplane_tower),
+    ("Frobenius traces equal brute-force counts", check_traces),
     ("prefix-map bijection and order reversal", check_prefix_map),
     ("parabolic sets shrink along the order, with the length bound", check_parabolic_monotonicity),
     ("low-degree vanishing with a single Steinberg top", check_vanishing),
+    ("a Bruhat-smaller element lands in a larger degree", check_degree_reversal),
     ("Steinberg dimensions agree across both routes", check_steinberg_dims),
     ("induction complex homology concentrated on top", check_induction_complexes),
     ("stalk complexes contract with a witness", check_stalks),

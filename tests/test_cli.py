@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import perdom.complexes
-from perdom import cli, weyl
+from perdom import cli, cohomology, weyl
+from perdom.checks import CHECKS
 from perdom.cli import main
 from perdom.errors import InternalCheckError
 
@@ -287,7 +288,7 @@ def test_verify_all_quick(capsys):
     code, out, _ = run(capsys, "verify-all", "--quick")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 7
+    assert len(lines) == len(CHECKS)
     assert all(l.startswith("PASS") for l in lines)
 
 
@@ -300,22 +301,32 @@ def test_verify_all_corrupt_signs_fails_at_composition(capsys):
     code, out, err = run(capsys, "verify-all", "--quick", "--corrupt-signs")
     assert code == 3
     assert "FAIL induction complex homology concentrated on top" in out
-    assert sum(1 for line in out.splitlines() if line.startswith("PASS")) == 6
+    assert sum(1 for line in out.splitlines() if line.startswith("PASS")) == len(CHECKS) - 1
     assert "compose to zero" in err
 
 
 def test_zeta_mismatch_exits_three(capsys, monkeypatch):
-    import perdom.flagenum
-    from perdom.flagenum import CountReport
+    # a twist shifted in the top entry reaches both drivers; every check
+    # still prints its line, and those the shift leaves intact pass
+    table_open = cohomology.table_open
 
-    def broken_count(g, family, p, n):
-        total = 21
-        return CountReport(total=total, in_y=total - 1, in_open=1)
+    def shifted(g, family):
+        table = table_open(g, family)
+        *rest, e = table.entries
+        top = cohomology.CohEntry(e.w, e.length, e.i_w, e.delta, e.degree, e.twist + 1, e.rep)
+        return cohomology.CohTable(table.variant, table.g, table.family, (*rest, top))
 
-    monkeypatch.setattr(perdom.flagenum, "count_points", broken_count)
-    code, out, err = run(capsys, "zeta", "--g", "2,1,-3", "--q", "2", "--n", "1")
+    monkeypatch.setattr(cohomology, "table_open", shifted)
+    code, out, err = run(capsys, "zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2")
     assert code == 3
     assert "MISMATCH" in out and "disagree" in err
+    code, out, _ = run(capsys, "verify-all", "--quick")
+    assert code == 3
+    assert "FAIL Frobenius traces equal brute-force counts" in out
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    assert [l.split(" ", 1)[1] for l in lines] == [name for name, _ in CHECKS]
+    assert "PASS low-degree vanishing with a single Steinberg top" in out
+    assert "PASS stalk complexes contract with a witness" in out
 
 
 def test_bad_n_ranges_exit_two(capsys):

@@ -1,14 +1,13 @@
 """The one registry of verification checks: `verify-all` and the acceptance
 suite both run CHECKS, the ten acceptance criteria and the closed-strata count.
 
-Each check is a function `check(quick, family, signs) -> bool` over a fixed
-grid: the quick grid is a smoke test, the full grid covers every case of the
+Each check is a function `check(quick, family) -> bool` over a fixed grid:
+the quick grid is a smoke test, the full grid covers every case of the
 acceptance criteria.  An InternalCheckError raised inside a check counts as a
 failure of that check.  `family` is the positive-degree family the trace and
-stalk checks classify against; `signs` is the induction-complex sign
-convention, where "index" is the deliberately broken reading that must fail to
-compose to zero.  CHECKS lists the checks in report order.  The prefix map
-that `check_prefix_map` checks, `kappa`, is built here, its only user.
+stalk checks classify against.  CHECKS lists the checks in report order.  The
+prefix map that `check_prefix_map` checks, `kappa`, is built here, its only
+user.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
     return mapping
 
 
-def check_rank_three_table(quick, family, signs) -> bool:
+def check_rank_three_table(quick, family) -> bool:
     """Criterion 1: the open table of (2,1,-3) at q = 2, degree by degree;
     degrees 3 and 5 carry the Steinberg quotient of a maximal parabolic."""
     by_degree = coh.table_open(slopes.from_values([2, 1, -3]), SS).by_degree()
@@ -97,7 +96,7 @@ def check_rank_three_table(quick, family, signs) -> bool:
               for deg in (3, 5) for e in by_degree[deg])
 
 
-def check_hyperplane_tower(quick, family, signs) -> bool:
+def check_hyperplane_tower(quick, family) -> bool:
     """Criterion 2: entry i of the hyperplane complement's open table has
     w = s_i...s_1 = (i+1, 1, ..., i, i+2, ..., d), I_w = {1..i} of
     composition (i+1, 1, ..., 1), degree d-1+i, twist -i, and the Steinberg
@@ -128,7 +127,7 @@ OPEN_COUNTS = {
 }
 
 
-def check_traces(quick, family, signs) -> bool:
+def check_traces(quick, family) -> bool:
     """Criterion 3: the open, closed and cell-total trace predictions equal
     the brute-force counts (in_open, in_y, total), whose first two sum to
     the third, on the family; under ss the open counts equal pinned values."""
@@ -144,7 +143,7 @@ def check_traces(quick, family, signs) -> bool:
     return ok
 
 
-def check_degree_reversal(quick, family, signs) -> bool:
+def check_degree_reversal(quick, family) -> bool:
     """Criterion 5: (1,3,4,2,5) <= (1,3,4,5,2) in the Bruhat order, yet their
     degrees 2 length(w) + #(missing reflections) are (8, 7)."""
     small, big = (1, 3, 4, 2, 5), (1, 3, 4, 5, 2)
@@ -156,14 +155,14 @@ def check_degree_reversal(quick, family, signs) -> bool:
     return ok
 
 
-def check_prefix_map(quick, family, signs) -> bool:
+def check_prefix_map(quick, family) -> bool:
     for g in slope_grid(quick, 66):
         for i in range(1, g.d):
             kappa(i, g.mu)  # raises on failure
     return True
 
 
-def check_parabolic_monotonicity(quick, family, signs) -> bool:
+def check_parabolic_monotonicity(quick, family) -> bool:
     ok = True
     for g in slope_grid(quick, 77):
         d = g.d
@@ -178,7 +177,7 @@ def check_parabolic_monotonicity(quick, family, signs) -> bool:
     return ok
 
 
-def check_vanishing(quick, family, signs) -> bool:
+def check_vanishing(quick, family) -> bool:
     rng = random.Random(20_2108)
     gs = []
     for _ in range(6 if quick else 20):
@@ -191,7 +190,7 @@ def check_vanishing(quick, family, signs) -> bool:
     return all(coh.vanishing_check(coh.table_open(g, SS)).ok for g in gs)
 
 
-def check_steinberg_dims(quick, family, signs) -> bool:
+def check_steinberg_dims(quick, family) -> bool:
     if quick:
         grid = [(2, 2), (3, 2)]
     else:
@@ -204,21 +203,16 @@ def check_steinberg_dims(quick, family, signs) -> bool:
     return ok
 
 
-def check_induction_complexes(quick, family, signs) -> bool:
+def check_induction_complexes(quick, family) -> bool:
     if quick:
         grid = [(2, 2), (3, 2)]
     else:
         grid = [(d, q) for d in (2, 3) for q in (2, 3)] + [(4, 2), (4, 3), (4, 5), (5, 2)]
-    ok = True
-    for d, q in grid:
-        for ptype in weyl.parabolic_types(d):
-            if ptype.is_full or (signs != "position" and not cx.corruptible(ptype)):
-                continue
-            ok = ok and cx.induction_report(ptype, q, signs).passed
-    return ok
+    return all(cx.verify_K(ptype, q).passed for d, q in grid
+               for ptype in weyl.parabolic_types(d) if not ptype.is_full)
 
 
-def check_stalks(quick, family, signs) -> bool:
+def check_stalks(quick, family) -> bool:
     """Every stalk on the closed stratum contracts; the flag count and the
     number of flags on the closed stratum match their predictions."""
     grid = [((2, 1, -3), 1)]
@@ -232,7 +226,7 @@ def check_stalks(quick, family, signs) -> bool:
     return True
 
 
-def check_closed_strata(quick, family, signs) -> bool:
+def check_closed_strata(quick, family) -> bool:
     g = slopes.from_values([2, 1, -3])
     ok = True
     for i in range(1, 3):

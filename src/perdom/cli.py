@@ -28,11 +28,11 @@ DEFAULT_BUDGET = 10_000_000
 
 def _parse_g(args) -> slopes.SlopeFunction:
     from . import slopes
-    if getattr(args, "drinfeld", None) is not None:
-        if getattr(args, "g", None):
+    if args.drinfeld is not None:
+        if args.g:
             raise ConfigError("give either --g or --drinfeld, not both")
         return slopes.drinfeld(args.drinfeld)
-    spec = getattr(args, "g", None)
+    spec = args.g
     if not spec:
         raise ConfigError("a slope function is required (--g or --drinfeld)")
     if spec.startswith("@"):
@@ -121,13 +121,12 @@ def _emit_text(text: str, path: str | None):
 
 
 def _resolve_dq(args) -> tuple[int, int]:
-    """(d, q) from --d (or the slope function) and --q, checked before pricing."""
+    """(d, q) from --d and --q, checked before pricing."""
     from .exactalg.qcount import require_prime
-    d = _parse_g(args).d if args.d is None else args.d
-    if d < 1:
-        raise ConfigError(f"--d must be at least 1, got {d}")
+    if args.d < 1:
+        raise ConfigError(f"--d must be at least 1, got {args.d}")
     require_prime(args.q)
-    return d, args.q
+    return args.d, args.q
 
 
 def _parse_family(args) -> slopes.ClosedFamily:
@@ -202,18 +201,28 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _flag_inputs(args):
+def _flag_inputs(args, stalks=False):
     """(g, family, ns) for the commands that enumerate flags, after the
     budget gate: every flag is classified against every rational subspace,
-    and the price grows with n, so the largest n decides."""
-    from .flagenum import classification_tests
+    and with `stalks` each flag's stalk has at most all_flag_points(d, q) - 1
+    chains, the nonempty chains of proper nonzero rational subspaces.  The
+    price grows with n, so the largest n decides."""
+    from .exactalg.qcount import all_flag_points, capped
+    from .flagenum import classification_tests, flag_count
     g = _parse_g(args)
     family = _parse_family(args)
     ranges = _parse_n_ranges(args.n) or (range(1, 2),)
     n = max(r[-1] for r in ranges)
-    _require_budget(
-        args, lambda cap: classification_tests(g, args.q, n, cap), "flag/subspace tests"
-    )
+
+    def price(cap):
+        tests = classification_tests(g, args.q, n, cap)
+        if not stalks or tests > cap:
+            return tests
+        chains = flag_count(g, args.q, n, cap) * (all_flag_points(g.d, args.q, cap=cap) - 1)
+        return capped(tests + chains, cap)
+
+    what = "flag/subspace tests and stalk chains" if stalks else "flag/subspace tests"
+    _require_budget(args, price, what)
     return g, family, _n_values(ranges)
 
 
@@ -327,7 +336,7 @@ def cmd_kcomplex(args) -> int:
 
 def cmd_stalk(args) -> int:
     from . import complexes as cx
-    g, family, ns = _flag_inputs(args)
+    g, family, ns = _flag_inputs(args, stalks=True)
     all_ok = True
     rows = []
     for n in ns:
@@ -350,11 +359,10 @@ def cmd_stalk(args) -> int:
 def cmd_verify_all(args) -> int:
     from . import checks
     family = _parse_family(args)
-    signs = "index" if args.corrupt_signs else "position"
     lines: list[str] = []
     for name, check in checks.CHECKS:
         try:
-            ok = check(args.quick, family, signs)
+            ok = check(args.quick, family)
         except InternalCheckError as exc:
             print(f"internal check failed: {exc}", file=sys.stderr)
             ok = False
@@ -408,15 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("dims", help="representation dimensions for all parabolic types")
-    _add_common(p, budget=True)
-    p.add_argument("--d", type=int, help="ambient dimension (alternative to --g)")
+    _add_common(p, g=False, budget=True)
+    p.add_argument("--d", type=int, required=True, help="ambient dimension")
     p.add_argument("--oracle", action="store_true",
                    help="also run the exact-rank route and compare")
     p.set_defaults(func=cmd_dims)
 
     p = subs.add_parser("kcomplex", help="verify induction-complex homology")
-    _add_common(p)
-    p.add_argument("--d", type=int, help="ambient dimension (alternative to --g)")
+    _add_common(p, g=False)
+    p.add_argument("--d", type=int, required=True, help="ambient dimension")
     p.add_argument("--i0", help='reflection subset, e.g. "1,2" (default: all proper subsets)')
     p.add_argument("--corrupt-signs", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_kcomplex)
@@ -428,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-all", help="run the consolidated verification suite")
     _add_common(p, g=False, q=False, family=True)
     p.add_argument("--quick", action="store_true", help="reduced grid for smoke testing")
-    p.add_argument("--corrupt-signs", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify_all)
 
     return parser

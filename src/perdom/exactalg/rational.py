@@ -1,10 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored as sparse rows, one dict {column: nonzero entry} per row
-with int or Fraction entries.  rational_rank clears each Fraction row of
-denominators and runs a fraction-free elimination on gcd-normalized
-Python-int rows, so every arithmetic step is exact; no floating point
-anywhere.
+Matrices are stored as sparse rows, one dict {column: nonzero int} per row.
+rational_rank runs a fraction-free elimination on gcd-normalized rows, so
+every arithmetic step is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -16,15 +14,9 @@ from ..records import Record
 
 
 def _primitive(row: dict) -> dict:
-    """A new int row: row divided by the gcd of its entries, Fraction rows
-    first cleared of denominators.  An int row is copied even when the gcd
-    is 1, since `_reduce` edits the rows it gets in place."""
-    try:
-        g = math.gcd(*row.values())
-    except TypeError:  # a Fraction entry
-        den = math.lcm(*(x.denominator for x in row.values()))
-        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-        g = math.gcd(*row.values())
+    """A new row: row divided by the gcd of its entries.  It is copied even
+    when the gcd is 1, since `_reduce` edits the rows it gets in place."""
+    g = math.gcd(*row.values())
     return {c: x // g for c, x in row.items()} if g > 1 else dict(row)
 
 
@@ -74,7 +66,7 @@ def rational_rank(rows) -> int:
 
 
 class MatrixQ(Record):
-    """Immutable exact matrix as sparse rows {column: nonzero int or Fraction}."""
+    """Immutable exact matrix as sparse rows {column: nonzero int}."""
 
     def __init__(self, rows: int, cols: int, entries: tuple[dict, ...]):
         self.__dict__.update(rows=rows, cols=cols, entries=entries)

@@ -19,7 +19,6 @@ before it grouped the terms by their largest kept cut.
 """
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -35,12 +34,8 @@ _NP_LIMIT = 2**31  # residues below this keep every int64 product exact
 
 
 def _primitive(row) -> list[int]:
-    """Clear denominators and divide by the gcd, so that reducing mod p does
-    not lose a row whose entries share the factor p."""
-    if not all(isinstance(x, int) for x in row):
-        row = [Fraction(x) for x in row]
-        den = math.lcm(*(x.denominator for x in row))
-        row = [x.numerator * (den // x.denominator) for x in row]
+    """Divide by the gcd, so that reducing mod p does not lose a row whose
+    entries share the factor p."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
@@ -76,12 +71,12 @@ def rank_mod_prime(rows, p: int) -> int:
 
 
 def matrix_from_rows(dense) -> MatrixQ:
-    """MatrixQ from nonempty dense rows of ints or Fractions, all one length."""
+    """MatrixQ from nonempty dense rows of ints, all one length."""
     dense = [tuple(r) for r in dense]
     if not dense or any(len(r) != len(dense[0]) for r in dense):
         raise ValueError("need nonempty rows of one length")
-    if not all(isinstance(x, (int, Fraction)) for r in dense for x in r):
-        raise TypeError("matrix entries must be int or Fraction")
+    if not all(isinstance(x, int) for r in dense for x in r):
+        raise TypeError("matrix entries must be int")
     entries = tuple({c: x for c, x in enumerate(r) if x} for r in dense)
     return MatrixQ(len(entries), len(dense[0]), entries)
 

@@ -1,10 +1,12 @@
 """Acceptance suite: the ten end-to-end criteria and the closed-strata count.
 
 The checks live in one registry, `perdom.checks.CHECKS`, which `verify-all`
-runs too; this suite runs every entry on its full grid and holds no grid,
-pinned value or comparison of its own.  Each entry prints a PASS/FAIL line
-with its criterion label and runtime: run `pytest tests/test_acceptance.py -s`
-to see the lines.
+runs too; this suite runs every entry as `check(False, SS)`, on its full grid
+under ss, and holds no grid, pinned value or comparison of its own.  The
+negative controls substitute a broken layer in `tests/test_cli.py` and need
+no hook in the registry.  Each entry prints a PASS/FAIL line with its
+criterion label and runtime: run `pytest tests/test_acceptance.py -s` to see
+the lines.
 """
 
 import time
@@ -52,4 +54,4 @@ def test_every_check_has_one_label():
 @pytest.mark.parametrize("name,check", CHECKS, ids=[check.__name__ for _, check in CHECKS])
 def test_verify_all_check_full_grid(name, check):
     with criterion(LABEL[name], name):
-        assert check(False, SS, "position")
+        assert check(False, SS)

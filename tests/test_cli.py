@@ -146,6 +146,7 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         ("table", "--g", "1,-1", "--q", "2", "--n", "1..99999999"),
         ("zeta", "--drinfeld", "100000000", "--q", "2"),
         ("stalk", "--drinfeld", "100000000", "--q", "2"),
+        ("stalk", "--drinfeld", "6", "--q", "2", "--n", "1"),
     ],
     ids=[
         "table-13-distinct-values",
@@ -168,6 +169,7 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         "table-n-range-priced-unexpanded",
         "zeta-drinfeld-1e8",
         "stalk-drinfeld-1e8",
+        "stalk-drinfeld-6",
     ],
 )
 def test_table_and_dims_exit_four_before_enumerating(argv):
@@ -196,6 +198,11 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     zeta = ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "1..2")
     assert run(capsys, *zeta, "--budget", "1469")[0] == 4
     assert run(capsys, *zeta, "--budget", "1470")[0] == 0
+    # stalk adds, per flag, the 35 nonempty chains of proper nonzero
+    # subspaces of GF(2)^3 that bound its stalk's simplices: 21 * (14 + 35)
+    stalk = ("stalk", "--g", "2,1,-3", "--q", "2", "--n", "1")
+    assert run(capsys, *stalk, "--budget", "1028")[0] == 4
+    assert run(capsys, *stalk, "--budget", "1029")[0] == 0
     monkeypatch.setenv("PERDOM_BUDGET", "5")
     assert run(capsys, "table", "--g", "2,1,-3", "--q", "2")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2")[0] == 4
@@ -297,11 +304,16 @@ def test_verify_all_rejects_nonpositive_family(capsys):
     assert code == 2 and "positive degrees" in err
 
 
-def test_verify_all_corrupt_signs_fails_at_composition(capsys):
-    code, out, err = run(capsys, "verify-all", "--quick", "--corrupt-signs")
+def test_verify_all_corrupt_signs_fails_at_composition(capsys, monkeypatch):
+    # induction complexes signed by the reflection's own index fail to
+    # compose to zero; only the induction-complex check fails
+    build_K = perdom.complexes.build_K
+    monkeypatch.setattr(perdom.complexes, "build_K", lambda i0, q: build_K(i0, q, signs="index"))
+    code, out, err = run(capsys, "verify-all", "--quick")
     assert code == 3
-    assert "FAIL induction complex homology concentrated on top" in out
-    assert sum(1 for line in out.splitlines() if line.startswith("PASS")) == len(CHECKS) - 1
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    failed = "induction complex homology concentrated on top"
+    assert lines == [f"{'FAIL' if name == failed else 'PASS'} {name}" for name, _ in CHECKS]
     assert "compose to zero" in err
 
 
@@ -417,8 +429,10 @@ def test_bad_inputs_exit_two(argv, tmp_path):
 
 
 G_ATOMS = ("0", "1", "-1", "3/2", "-3/2", "1e-3", "1e5000", "-1e5000", "1/0", "nan", "")
+D_ATOMS = ("-1", "0", "1", "2", "3", "4", "40", "x", "3/2", "")
 FAMILIES = ("ss", "ge:1", "ge:1/3", "ge:0", "ge:1e5000", "ge:-1e5000", "ge:-2", "ge:x", "ge:")
-# the options each fuzzed command takes, beyond --g, --q and --json
+# the options each fuzzed command takes, beyond --q, --json and --g (--d
+# for dims and kcomplex)
 FUZZ_OPTIONS = {
     "zeta": ("--family", "--n"),
     "stalk": ("--family", "--n"),
@@ -434,7 +448,11 @@ def fuzzed_argv(rng) -> list[str]:
     if rng.random() < 0.5:  # balanced lists get past the weighted-sum check
         atoms += [a[1:] if a.startswith("-") else "-" + a for a in atoms]
     g = ",".join(atoms)
-    argv = [command, "--g", g, "--q", str(rng.choice((-3, 0, 1, 2, 3, 4, 5)))]
+    if command in ("dims", "kcomplex"):
+        argv = [command, "--d", rng.choice(D_ATOMS)]
+    else:
+        argv = [command, "--g", g]
+    argv += ["--q", str(rng.choice((-3, 0, 1, 2, 3, 4, 5)))]
     choices = {
         "--family": FAMILIES,
         "--n": ("1", "1..2", "0", "3..1", "x"),
@@ -477,6 +495,34 @@ def test_jobs_option_is_refused(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert "--jobs" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dims", "--d", "3", "--q", "2", "--g", "2,1,-3"),
+        ("dims", "--d", "3", "--q", "2", "--drinfeld", "3"),
+        ("kcomplex", "--d", "3", "--q", "2", "--g", "2,1,-3"),
+        ("kcomplex", "--d", "3", "--q", "2", "--drinfeld", "3"),
+        ("verify-all", "--quick", "--corrupt-signs"),
+    ],
+    ids=["dims-g", "dims-drinfeld", "kcomplex-g", "kcomplex-drinfeld", "verify-all-corrupt-signs"],
+)
+def test_removed_options_are_refused(argv, capsys):
+    # dims and kcomplex take d only from --d; verify-all has no sign hook
+    option = next(a for a in argv if a in ("--g", "--drinfeld", "--corrupt-signs"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dims", "kcomplex"])
+def test_d_is_required(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2"])
+    assert exc.value.code == 2
+    assert "--d" in capsys.readouterr().err
 
 
 def test_table_prints_long_traces_below_the_digit_limit():

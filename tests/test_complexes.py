@@ -16,6 +16,7 @@ from perdom import flagenum
 from perdom.errors import ConfigError, InternalCheckError
 from perdom.exactalg import subspaces
 from perdom.exactalg.gf import make_field
+from perdom.exactalg.qcount import all_flag_points
 from perdom.exactalg.subspaces import (
     SubspaceGF,
     enumerate_chains,
@@ -305,6 +306,26 @@ def test_stalks_of_one_type_share_few_containment_relations():
     cx._order_complex_homology.cache_clear()
     assert cx.stalk_counts(from_values([3, 1, -1, -3]), SS, 2, 1) == (315, 315, 0)
     assert 0 < cx._order_complex_homology.cache_info().currsize <= 27
+
+
+@pytest.mark.parametrize(
+    "values,family,p,n",
+    [((3, 1, -1, -3), "ss", 2, 1), ((2, 1, -3), "ge:1", 2, 2), ((1, 1, -2), "ss", 3, 1)],
+)
+def test_stalk_chains_stay_within_the_stalk_price(values, family, p, n):
+    # `stalk` prices each flag at all_flag_points(d, p) - 1, the nonempty
+    # chains of proper nonzero rational subspaces: every stalk's order
+    # complex has at most that many simplices, and the whole poset has that many
+    g, family = from_values(values), parse_family(family)
+    bound = all_flag_points(g.d, p) - 1
+    assert sum(map(len, cx._stalk_chains(cx._containment(p, g.d)))) == bound
+    stalks = 0
+    for flag in enumerate_flags(g, p, n):
+        verts = cx.build_stalk(flag, family)
+        if verts:
+            stalks += 1
+            assert sum(map(len, cx._stalk_chains(cx._stalk_above(verts, p, g.d)))) <= bound
+    assert stalks
 
 
 STALK_GRID = (

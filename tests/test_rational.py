@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,11 +17,19 @@ def rank(dense):
     return matrix_from_rows(dense).rank()
 
 
+def integer_row(values) -> list[int]:
+    """values, ints or Fractions, times the lcm of their denominators: the
+    integer row spanning the same line, as MatrixQ holds int entries only."""
+    values = [Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
 def test_rank_basics():
     assert rank([[1, 1], [1, 1]]) == 1
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert rank([[3, 2], [9, 6]]) == 1  # (1/2, 1/3) and (3/2, 1), times 6
 
 
 def test_identity_complex_has_no_homology():
@@ -86,13 +95,14 @@ def test_rank_with_fractions_matches_sympy():
         [Fraction(rng.randrange(-9, 10), rng.randrange(1, 9)) for _ in range(5)]
         for _ in range(4)
     ]
-    assert rank(mat) == sympy.Matrix(mat).rank()
+    assert rank([integer_row(r) for r in mat]) == sympy.Matrix(mat).rank()
 
 
 def test_rank_survives_entry_growth():
-    # Hilbert-type matrices force large intermediate numerators
+    # the Hilbert matrix, scaled to integers, forces large intermediate entries
     n = 7
-    mat = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    scale = math.lcm(*range(1, 2 * n))
+    mat = [[scale // (i + j + 1) for j in range(n)] for i in range(n)]
     assert rank(mat) == n
     mat[-1] = [sum(row[j] for row in mat[:-1]) for j in range(n)]
     assert rank(mat) == n - 1
@@ -170,19 +180,11 @@ def test_primitive_divides_int_rows_and_returns_a_copy():
     assert all(type(x) is int for x in out.values())
 
 
-def test_primitive_clears_fraction_and_mixed_rows():
-    fractions = {0: Fraction(1, 2), 4: Fraction(-1, 3), 6: Fraction(5, 6)}
-    assert rational._primitive(fractions) == {0: 3, 4: -2, 6: 5}
-    mixed = {0: 4, 1: Fraction(2, 3), 2: Fraction(8, 1)}
-    out = rational._primitive(mixed)
-    assert out == {0: 6, 1: 1, 2: 12} and all(type(x) is int for x in out.values())
-    assert rational._primitive({2: Fraction(4, 1)}) == {2: 1}
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_matches_modular_oracle_on_int_fraction_and_mixed_rows(seed):
-    # rows of each kind, some with a common factor or a planted dependency;
-    # rank() must not edit the matrix it reads
+    # rows of each kind, some with a common factor or a planted dependency,
+    # fraction and mixed rows scaled to integer rows; rank() must not edit
+    # the matrix it reads
     rng = random.Random(seed)
     cols = rng.randrange(2, 9)
     dense = []
@@ -191,10 +193,10 @@ def test_rank_matches_modular_oracle_on_int_fraction_and_mixed_rows(seed):
         scale = rng.choice((1, 2, 6, 10**12))
         row = [scale * rng.randrange(-4, 5) for _ in range(cols)]
         if kind != "int":
-            row = [
+            row = integer_row(
                 Fraction(x, rng.randrange(1, 7)) if kind == "fraction" or rng.random() < 0.5 else x
                 for x in row
-            ]
+            )
         dense.append(row)
     if len(dense) >= 3:
         dense[-1] = [a + 3 * b for a, b in zip(dense[0], dense[1])]

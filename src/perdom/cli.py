@@ -79,15 +79,18 @@ def _n_values(ranges) -> tuple[int, ...]:
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(ENV_BUDGET)
-    if env:
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        env, source = os.environ.get(ENV_BUDGET), ENV_BUDGET
+        if not env:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise ConfigError(f"bad {ENV_BUDGET} value {env!r}") from exc
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise ConfigError(f"{source} must be at least 0, got {budget}")
+    return budget
 
 
 def _require_budget(args, price, what: str):
@@ -103,13 +106,9 @@ def _require_budget(args, price, what: str):
 
 
 def _emit_json(payload, path: str | None):
-    if path is not None:
-        _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
-
-
-def _emit_text(text: str, path: str | None):
     if path is None:
         return
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path == "-":
         sys.stdout.write(text)
         return
@@ -179,13 +178,12 @@ def cmd_table(args) -> int:
     ns = _n_values(ranges)
     if ns:
         _require_printable_traces(open_table.entries + closed_table.entries, args.q, max(ns))
-    md = (
+    sys.stdout.write(
         f"## open stratum (d={g.d}, q={args.q}, family {family.describe()})\n\n"
         + coh.table_markdown(open_table, args.q)
         + "\n## closed complement\n\n"
         + coh.table_markdown(closed_table, args.q)
     )
-    sys.stdout.write(md)
     if ns:
         sys.stdout.write("\n## traces\n\n")
         for n in ns:
@@ -197,7 +195,6 @@ def cmd_table(args) -> int:
         "closed": coh.table_json(closed_table, args.q, ns),
     }
     _emit_json(payload, args.json)
-    _emit_text(md, args.md)
     return 0
 
 
@@ -255,26 +252,19 @@ def cmd_zeta(args) -> int:
 
 def cmd_dims(args) -> int:
     from . import weyl
-    from .exactalg.qcount import all_flag_points, capped
+    from .exactalg.qcount import capped
     d, q = _resolve_dq(args)
 
     def price(cap):
         # (m+1)(m+2)/2 q-binomials in dim_v for each of the C(d-1, m) types with m cuts:
         # (d^2 + 5d + 2) 2^(d-4) >= 2^(d-1) in all, > cap once d - 1 reaches cap's bit length
-        work = capped((d*d + 5*d + 2) * 2**d // 16, cap) if d <= cap.bit_length() else math.inf
-        if args.oracle:  # the rank route also builds every coset space
-            work = capped(work + d**2 * all_flag_points(d, q, cap=cap), cap)
-        return work
+        return capped((d*d + 5*d + 2) * 2**d // 16, cap) if d <= cap.bit_length() else math.inf
 
-    what = "work units (Moebius terms, d^2 per coset-space point)" if args.oracle else "Moebius terms"
-    _require_budget(args, price, what)
-    dim_v = weyl.dim_v
-    if args.oracle:  # the rank route, the only one that loads the finite-field layers
-        from .complexes import check_dim_v as dim_v
+    _require_budget(args, price, "Moebius terms")
     rows = []
     for ptype in weyl.parabolic_types(d):
         di = weyl.dim_induced(ptype, q)
-        dv = dim_v(ptype, q)
+        dv = weyl.dim_v(ptype, q)
         rows.append(
             {
                 "I": list(ptype.gens),
@@ -287,7 +277,7 @@ def cmd_dims(args) -> int:
             f"I={list(ptype.gens)} composition={list(ptype.composition())} "
             f"dim_i={di} dim_v={dv}\n"
         )
-    _emit_json({"d": d, "q": q, "oracle": bool(args.oracle), "rows": rows}, args.json)
+    _emit_json({"d": d, "q": q, "rows": rows}, args.json)
     return 0
 
 
@@ -306,8 +296,8 @@ def cmd_kcomplex(args) -> int:
         i0 = weyl.ParabolicType.from_gens(d, gens)
 
     def price(cap):
-        # d^2 units per point of the coset space of every J containing I0, as
-        # for dims --oracle; d^2 first, since listing the cuts takes time O(d)
+        # d^2 units per point of the coset space of every J containing I0;
+        # d^2 first, since listing the cuts takes time O(d)
         if d**2 > cap:
             return math.inf
         cuts = None if i0 is None else i0.complement()
@@ -408,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("table", help="predicted cohomology tables (open and closed)")
     _add_common(p, family=True, n=True, budget=True)
-    p.add_argument("--md", metavar="PATH", help="write the markdown table")
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("zeta", help="trace predictions vs. brute-force point counts")
@@ -418,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dims", help="representation dimensions for all parabolic types")
     _add_common(p, g=False, budget=True)
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the exact-rank route and compare")
     p.set_defaults(func=cmd_dims)
 
     p = subs.add_parser("kcomplex", help="verify induction-complex homology")

@@ -1,12 +1,14 @@
 """Explicit complexes: parabolic induction complexes and stalk subcomplexes.
 
-check_dim_v compares weyl's Moebius route for the Steinberg dimension with
-the induced dimension minus the rank of the pulled-back functions.
 The induction complex for a proper reflection subset I0 has the functions
 on (G/P_I)(k) for I between I0 and the full set, graded by the number of
 missing reflections, with signed pullback differentials.  Its homology is
 concentrated in the top degree, where it has the generalized Steinberg
-dimension; verify_K checks exactly that with exact rational ranks.
+dimension; verify_K checks exactly that with exact rational ranks.  The
+top homology is the induced dimension minus the rank of the last
+differential, whose rows are the pulled-back functions up to sign, so
+verify_K is the exact-rank route for dim v that weyl's Moebius route is
+compared with.
 
 The stalk machinery takes one flag, collects the rational subspaces whose
 induced type lies in the family, and checks that the order complex of that
@@ -24,12 +26,12 @@ from itertools import accumulate, combinations
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
 from .exactalg.qcount import q_multinomial
-from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex, rational_rank
+from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex
 from .exactalg.subspaces import (
     SubspaceGF, enumerate_subspaces, rational_positions, rational_subspaces, subspaces_within,
 )
 from .records import Record
-from .weyl import ParabolicType, dim_induced, dim_v
+from .weyl import ParabolicType, dim_v
 
 
 @lru_cache(maxsize=None)
@@ -38,12 +40,8 @@ def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     by the index of each member in `enumerate_subspaces(GF(q), d, dim)`, one
     slot per missing dim, ascending; the full type gives the one point ().
     Chains are built top down from `subspaces_within`, so only the missing
-    dims are enumerated.  The points are sorted: slot dims are fixed and each
-    dim is listed in basis order, so this is the order of the members' bases.
-    The sort is load-bearing for the pullback-span oracle: unsorted, its exact
-    rank takes 2-3 times as long at d = 5, q = 2 and at d = 4, q = 5.  The
-    induction complex's rank takes rows last to first and is about as fast
-    either way."""
+    dims are enumerated, and come out ordered by their members' indices
+    read largest member first."""
     field, d, dims = make_field(q, 1), ptype.d, ptype.complement()
     chains = [()]
     if dims:
@@ -52,9 +50,8 @@ def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
             chains = [
                 (j,) + chain for chain in chains for j in subspaces_within(field, d, k, chain[0], c)
             ]
-    points = tuple(sorted(chains))
-    assert len(points) == q_multinomial(ptype.composition(), q)
-    return points
+    assert len(chains) == q_multinomial(ptype.composition(), q)
+    return tuple(chains)
 
 
 @lru_cache(maxsize=None)
@@ -66,35 +63,6 @@ def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tu
     index = {pt: i for i, pt in enumerate(coset_space(coarse, q))}
     keep = [k for k, dim in enumerate(fine.complement()) if dim in coarse.complement()]
     return tuple(index[tuple(pt[k] for k in keep)] for pt in coset_space(fine, q))
-
-
-def pullback_span_rank(parabolic: ParabolicType, q: int) -> int:
-    """Exact rank of the span of all functions pulled back from proper
-    overgroup quotients.  Pullback images nest along inclusions, so the
-    minimal proper overgroups (add one reflection) already span."""
-    missing = parabolic.complement()
-    if not missing:
-        return 0
-    rows = []
-    for s in missing:
-        coarse = parabolic.union((s,))
-        block = [{} for _ in range(len(coset_space(coarse, q)))]
-        for x, y in enumerate(projection_indices(parabolic, coarse, q)):
-            block[y][x] = 1
-        rows.extend(block)
-    return rational_rank(rows)
-
-
-def check_dim_v(parabolic: ParabolicType, q: int) -> int:
-    """Run both routes for dim v and insist they agree: the Moebius route and
-    the induced dimension minus the exact rank of the pulled-back functions."""
-    moebius = dim_v(parabolic, q)
-    oracle = dim_induced(parabolic, q) - pullback_span_rank(parabolic, q)
-    if moebius != oracle:
-        raise InternalCheckError(
-            f"dim v mismatch for {parabolic}, q={q}: moebius {moebius} vs rank {oracle}"
-        )
-    return moebius
 
 
 # -- the induction complex ----------------------------------------------------

@@ -46,9 +46,9 @@ def rational_rank(rows) -> int:
     Each row is reduced against the pivot rows by its leading column until
     it vanishes or opens a new pivot column; a +-1 entry displaces a larger
     pivot so that most eliminations need no scaling.  Rows go last to first:
-    the complexes number rows and columns in one sorted point order, and first
-    to last the leading columns pile fill-in onto a few pivots (kcomplex_d4's
-    12 maps: 43,582 row reductions that way, 15,523 last to first).
+    the complexes number rows and columns in one point order, and first to
+    last the leading columns pile fill-in onto a few pivots (kcomplex_d4's
+    12 maps: 220,695 row reductions that way, 15,194 last to first).
     """
     pivots: dict[int, dict] = {}
     for row in reversed(rows):

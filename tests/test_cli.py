@@ -129,7 +129,6 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         ("table", "--g", ",".join(map(str, range(6, -7, -1))), "--q", "2"),
         ("table", "--g", "9,7,5,3,1,-1,-3,-5,-7,-9", "--q", "2"),
         ("dims", "--d", "40", "--q", "2"),
-        ("dims", "--d", "6", "--q", "2", "--oracle"),
         ("stalk", "--g", "3,1,-1,-3", "--q", "2", "--n", "3"),
         ("zeta", "--drinfeld", "12", "--q", "2"),
         ("zeta", "--g", "3,1,-1,-3", "--q", "2", "--n", "1..3"),
@@ -138,8 +137,6 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         ("kcomplex", "--d", "200", "--q", "2"),
         ("kcomplex", "--d", "3000", "--q", "2"),
         ("kcomplex", "--d", "1000000000", "--q", "2", "--i0", "1"),
-        ("dims", "--d", "200", "--q", "2", "--oracle"),
-        ("dims", "--d", "3000", "--q", "2", "--oracle"),
         ("dims", "--d", "100000", "--q", "2"),
         ("zeta", "--drinfeld", "1000", "--q", "2"),
         ("table", "--drinfeld", "100000", "--q", "2"),
@@ -152,7 +149,6 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         "table-13-distinct-values",
         "table-10-distinct-values",
         "dims-d40",
-        "dims-oracle-d6",
         "stalk-d4-n3",
         "zeta-drinfeld-12",
         "zeta-d4-n3",
@@ -161,8 +157,6 @@ def run_bounded(argv, script="from perdom.cli import main; import sys; sys.exit(
         "kcomplex-d200",
         "kcomplex-d3000",
         "kcomplex-d1e9-i0",
-        "dims-oracle-d200",
-        "dims-oracle-d3000",
         "dims-d100000",
         "zeta-drinfeld-1000",
         "table-drinfeld-100000",
@@ -187,9 +181,6 @@ def test_table_and_dims_budget_bounds(capsys, monkeypatch):
     assert run(capsys, "table", "--g", "1,1,-2", "--q", "2", "--budget", "27")[0] == 0
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "12")[0] == 4
     assert run(capsys, "dims", "--d", "3", "--q", "2", "--budget", "13")[0] == 0
-    # --oracle adds d^2 units for each of the 36 points of all coset spaces of GF(2)^3
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "336")[0] == 4
-    assert run(capsys, "dims", "--d", "3", "--q", "2", "--oracle", "--budget", "337")[0] == 0
     # each n adds 3 units per representative: 6 * (9 + 3 * 3) = 108
     table = ("table", "--g", "2,1,-3", "--q", "2", "--n", "1..3")
     assert run(capsys, *table, "--budget", "107")[0] == 4
@@ -244,12 +235,6 @@ def test_kcomplex_budget_bounds(budget, i0, code, capsys, monkeypatch):
     assert got == code
     if code == 4:
         assert err.endswith("(raise with PERDOM_BUDGET)\n")
-
-
-def test_dims_oracle(capsys):
-    code, out, _ = run(capsys, "dims", "--d", "3", "--q", "2", "--oracle")
-    assert code == 0
-    assert "I=[] composition=[1, 1, 1] dim_i=21 dim_v=8" in out
 
 
 def test_kcomplex_json(tmp_path, capsys):
@@ -317,6 +302,18 @@ def test_verify_all_corrupt_signs_fails_at_composition(capsys, monkeypatch):
     assert "compose to zero" in err
 
 
+def test_verify_all_fails_the_induction_check_when_dim_v_is_off(capsys, monkeypatch):
+    # the Moebius route one too high on the Borel: the top homology of its
+    # induction complex no longer matches, and only that check fails
+    dim_v = perdom.complexes.dim_v
+    monkeypatch.setattr(perdom.complexes, "dim_v", lambda i0, q: dim_v(i0, q) + (not i0.gens))
+    code, out, _ = run(capsys, "verify-all", "--quick")
+    assert code == 3
+    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+    failed = "induction complex homology concentrated on top"
+    assert lines == [f"{'FAIL' if name == failed else 'PASS'} {name}" for name, _ in CHECKS]
+
+
 def test_zeta_mismatch_exits_three(capsys, monkeypatch):
     # a twist shifted in the top entry reaches both drivers; every check
     # still prints its line, and those the shift leaves intact pass
@@ -358,8 +355,7 @@ def test_bad_n_ranges_exit_two(capsys):
         ("dims", "--d", "0", "--q", "2"),
         ("dims", "--d", "-2", "--q", "2"),
         ("kcomplex", "--d", "-1", "--q", "2"),
-        ("dims", "--d", "-2", "--q", "2", "--oracle"),
-        ("dims", "--d", "3", "--q", "1", "--oracle"),
+        ("dims", "--d", "3", "--q", "1"),
         ("kcomplex", "--d", "3", "--q", "1"),
         ("kcomplex", "--d", "1", "--q", "2"),
         ("zeta", "--g", "2,1,-3", "--q", "2", "--n", "100000000"),
@@ -367,7 +363,6 @@ def test_bad_n_ranges_exit_two(capsys):
         ("zeta", "--g", "1,-1", "--q", "2", "--n", "30"),
         ("stalk", "--g", "1,-1", "--q", "2", "--n", "21"),
         ("kcomplex", "--d", "2", "--q", "2", "--json", "{tmp}/missing/x.json"),
-        ("table", "--drinfeld", "2", "--q", "2", "--md", "{tmp}/missing/x.md"),
         ("dims", "--d", "2", "--q", str(2**64 + 13)),
         ("table", "--g", "1,-1", "--q", str(2**64 + 13)),
         ("stalk", "--g", "1,-1", "--q", str(2**64 + 13)),
@@ -383,6 +378,8 @@ def test_bad_n_ranges_exit_two(capsys):
         ("stalk", "--g", "1,-1", "--q", "2", "--family", "ge:-1e5000"),
         ("verify-all", "--quick", "--family", "ge:-1e5000"),
         ("zeta", "--g", "9e4299,9e4299", "--q", "2"),
+        ("zeta", "--g", "1,-1", "--q", "2", "--n", "1", "--budget", "-1"),
+        ("PERDOM_BUDGET=-3", "dims", "--d", "2", "--q", "2"),
     ],
     ids=[
         "missing-config",
@@ -393,8 +390,7 @@ def test_bad_n_ranges_exit_two(capsys):
         "dims-d-zero",
         "dims-d-negative",
         "kcomplex-d-negative",
-        "dims-oracle-d-negative",
-        "dims-oracle-q-one",
+        "dims-q-one",
         "kcomplex-q-one",
         "kcomplex-d-one",
         "zeta-field-above-bound",
@@ -402,7 +398,6 @@ def test_bad_n_ranges_exit_two(capsys):
         "zeta-n30-above-field-bound",
         "stalk-field-above-bound",
         "unwritable-json",
-        "unwritable-md",
         "dims-q-above-2^64",
         "table-q-above-2^64",
         "stalk-q-above-2^64",
@@ -418,9 +413,14 @@ def test_bad_n_ranges_exit_two(capsys):
         "stalk-negative-threshold-exponent-past-digit-limit",
         "verify-all-negative-threshold-exponent-past-digit-limit",
         "zeta-weighted-sum-too-long-to-print",
+        "budget-negative",
+        "env-budget-negative",
     ],
 )
-def test_bad_inputs_exit_two(argv, tmp_path):
+def test_bad_inputs_exit_two(argv, tmp_path, monkeypatch):
+    if argv[0].startswith("PERDOM_BUDGET="):  # an environment setting, not an argument
+        monkeypatch.setenv("PERDOM_BUDGET", argv[0].partition("=")[2])
+        argv = argv[1:]
     (tmp_path / "not.json").write_text("[[1, 1, 1], [-1, 1, 1]")
     (tmp_path / "float.json").write_text("[[1.5, 1, 1], [-1.5, 1, 1]]")
     code, _, err = run_bounded([a.format(tmp=tmp_path) for a in argv])
@@ -505,12 +505,17 @@ def test_jobs_option_is_refused(command, capsys):
         ("kcomplex", "--d", "3", "--q", "2", "--g", "2,1,-3"),
         ("kcomplex", "--d", "3", "--q", "2", "--drinfeld", "3"),
         ("verify-all", "--quick", "--corrupt-signs"),
+        ("dims", "--d", "3", "--q", "2", "--oracle"),
+        ("table", "--g", "1,-1", "--q", "2", "--md", "x"),
     ],
-    ids=["dims-g", "dims-drinfeld", "kcomplex-g", "kcomplex-drinfeld", "verify-all-corrupt-signs"],
+    ids=["dims-g", "dims-drinfeld", "kcomplex-g", "kcomplex-drinfeld", "verify-all-corrupt-signs",
+         "dims-oracle", "table-md"],
 )
 def test_removed_options_are_refused(argv, capsys):
-    # dims and kcomplex take d only from --d; verify-all has no sign hook
-    option = next(a for a in argv if a in ("--g", "--drinfeld", "--corrupt-signs"))
+    # dims and kcomplex take d only from --d, and dims has one route, the
+    # formula; verify-all has no sign hook; table prints its markdown only
+    # to stdout.  Each case gives the removed option last
+    option = next(a for a in reversed(argv) if a.startswith("--"))
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
@@ -552,13 +557,13 @@ def test_a_stalk_failure_reaches_both_drivers(capsys, monkeypatch):
 
 
 def test_verify_all_reports_a_raising_group_and_continues(capsys, monkeypatch):
-    def broken(ptype, q):
+    def broken(i0, q):
         raise InternalCheckError("planted mismatch")
 
-    monkeypatch.setattr(perdom.complexes, "check_dim_v", broken)
+    monkeypatch.setattr(perdom.complexes, "verify_K", broken)
     code, out, err = run(capsys, "verify-all", "--quick")
     assert code == 3
-    assert "FAIL Steinberg dimensions agree across both routes" in out
+    assert "FAIL induction complex homology concentrated on top" in out
     assert "PASS stalk complexes contract with a witness" in out
     assert "planted mismatch" in err
 
@@ -615,9 +620,8 @@ STALK_LAYERS = (*INDUCTION_LAYERS, "perdom.flagenum", "perdom.slopes")
     ("stalk --g 2,1,-3 --q 2 --n 1", STALK_LAYERS, True),
     ("kcomplex --d 3 --q 2", INDUCTION_LAYERS, False),
     ("dims --d 3 --q 2", WEYL_LAYERS, False),
-    ("dims --d 3 --q 2 --oracle", INDUCTION_LAYERS, False),
     ("verify-all --quick", (*STALK_LAYERS, "perdom.checks", "perdom.cohomology"), True),
-], ids=["table", "zeta", "stalk", "kcomplex", "dims", "dims-oracle", "verify-all"])
+], ids=["table", "zeta", "stalk", "kcomplex", "dims", "verify-all"])
 def test_commands_load_their_layers_without_dataclasses(argv, modules, rationals):
     # records are plain classes: no command pays for importing dataclasses,
     # and the commands that read no slope value load no rational numbers

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import dim_v_by_moebius
 from perdom import cohomology as coh
-from perdom import complexes as cx
 from perdom.errors import ConfigError
 from perdom.exactalg.qcount import all_flag_points, q_multinomial
 from perdom.slopes import (
@@ -85,13 +84,6 @@ def test_dim_v_recursion_equals_the_moebius_sum_over_supersets():
     for q in (2, 3, 5):
         for ptype in types:
             assert coh.dim_v(ptype, q) == dim_v_by_moebius(ptype, q), (ptype.gens, q)
-
-
-def test_dim_v_two_routes_small_grid():
-    for d in (2, 3):
-        for q in (2, 3):
-            for ptype in parabolic_types(d):
-                cx.check_dim_v(ptype, q)
 
 
 def test_dims_require_prime_base():

@@ -23,7 +23,7 @@ GOLDEN = {
     "stalk_ge1": "stalk --g 2,1,-3 --q 2 --n 1..3 --family ge:1",
     "stalk_fractional": "stalk --g 3/2,1/2,-2 --q 3 --n 1..2 --family ge:1/3",
     "kcomplex_d4": "kcomplex --d 4 --q 3",
-    "dims_d4": "dims --d 4 --q 3 --oracle",
+    "dims_d4": "dims --d 4 --q 3",
     "table_d9": "table --drinfeld 9 --q 2 --n 1..3",
     "verify_all_quick": "verify-all --quick",
 }

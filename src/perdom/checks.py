@@ -69,8 +69,9 @@ def kappa(i: int, mu) -> dict[Perm, Subfunction]:
     it reverses order (Bruhat on representatives vs. dominance); either
     failure raises InternalCheckError.
     """
-    reps = double_coset_reps(i, mu)
-    targets = set(enumerate_B(from_values(mu), i))
+    g = from_values(mu)
+    reps = double_coset_reps(i, g.mults)
+    targets = set(enumerate_B(g, i))
     mapping = {w: h_w_i(mu, w, i) for w in reps}
     images = list(mapping.values())
     if len(set(images)) != len(images) or set(images) != targets:
@@ -151,7 +152,7 @@ def check_degree_reversal(quick, family) -> bool:
     small, big = (1, 3, 4, 2, 5), (1, 3, 4, 5, 2)
     ok = bruhat_leq(small, big)
     for values in ((4, 3, 2, 1, -10), (5, 4, 3, 2, -14)):
-        cells = coh.kostant_cells(slopes.from_values(values).mu, SS)
+        cells = coh.kostant_cells(slopes.from_values(values), SS)
         degree = {w: 2 * lw + len(iw.complement()) for w, lw, iw in cells}
         ok = ok and (degree.get(small), degree.get(big)) == (8, 7)
     return ok
@@ -168,7 +169,7 @@ def check_parabolic_monotonicity(quick, family) -> bool:
     ok = True
     for g in slope_grid(quick, 77):
         d = g.d
-        cells = {w: (lw, set(iw.complement())) for w, lw, iw in coh.kostant_cells(g.mu, SS)}
+        cells = {w: (lw, set(iw.complement())) for w, lw, iw in coh.kostant_cells(g, SS)}
         for w, (lw, delta) in cells.items():
             ok = ok and d - 1 - len(delta) <= lw
             for i in range(1, d):

@@ -178,6 +178,10 @@ def cmd_table(args) -> int:
     ns = _n_values(ranges)
     if ns:
         _require_printable_traces(open_table.entries + closed_table.entries, args.q, max(ns))
+    payload = {
+        "open": coh.table_json(open_table, args.q, ns),
+        "closed": coh.table_json(closed_table, args.q, ns),
+    }
     sys.stdout.write(
         f"## open stratum (d={g.d}, q={args.q}, family {family.describe()})\n\n"
         + coh.table_markdown(open_table, args.q)
@@ -186,14 +190,10 @@ def cmd_table(args) -> int:
     )
     if ns:
         sys.stdout.write("\n## traces\n\n")
+        opens, closeds = payload["open"]["traces"], payload["closed"]["traces"]
         for n in ns:
-            o = coh.trace_prediction(open_table, args.q, n)
-            c = coh.trace_prediction(closed_table, args.q, n)
+            o, c = opens[str(n)], closeds[str(n)]
             sys.stdout.write(f"n={n}: open {o}, closed {c}, total {o + c}\n")
-    payload = {
-        "open": coh.table_json(open_table, args.q, ns),
-        "closed": coh.table_json(closed_table, args.q, ns),
-    }
     _emit_json(payload, args.json)
     return 0
 

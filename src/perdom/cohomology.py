@@ -15,11 +15,12 @@ the finite-field or enumeration layers.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ConfigError
 from .exactalg.qcount import require_prime
 from .records import Record
-from .slopes import ClosedFamily, SlopeFunction, outside_family
+from .slopes import ClosedFamily, SlopeFunction
 from .weyl import ParabolicType, Perm, act, dim_induced, dim_v, kostant_reps, length
 
 INDUCED = "induced"
@@ -83,20 +84,30 @@ def _sorted_entries(entries) -> tuple[CohEntry, ...]:
 
 
 @lru_cache(maxsize=None)
-def kostant_cells(mu, family: ClosedFamily) -> tuple[tuple[Perm, int, ParabolicType], ...]:
-    """(w, length(w), I_w) for every minimal coset representative of mu,
-    I_w read off the partial sums of w.mu; the tables, the cell total,
-    omega_set and the parabolic-monotonicity check all read this pass."""
-    return tuple(
-        (w, length(w), outside_family(act(w, mu), family)) for w in kostant_reps(mu)
-    )
+def kostant_cells(g: SlopeFunction,
+                  family: ClosedFamily) -> tuple[tuple[Perm, int, ParabolicType], ...]:
+    """(w, length(w), I_w) for every minimal coset representative of g's
+    block sizes.  I_w holds the s_i whose prefix subfunction of w.mu is
+    outside the family: the family depends only on the degree, and scale
+    times the degree of that prefix (`checks.h_w_i`) is the i-th partial
+    sum of w acting on the scaled mu, an integer compared with the family's
+    least scaled degree.  The tables, the cell total, omega_set and the
+    parabolic-monotonicity check all read this pass."""
+    scaled_mu = tuple(x for x, m in zip(g.scaled_values, g.mults) for _ in range(m))
+    least = family.least_scaled_degree(g.scale)
+    cells = []
+    for w in kostant_reps(g.mults):
+        sums = accumulate(act(w, scaled_mu)[:-1])
+        gens = tuple(i for i, total in enumerate(sums, start=1) if total < least)
+        cells.append((w, length(w), ParabolicType(g.d, gens)))
+    return tuple(cells)
 
 
 def table_open(g: SlopeFunction, family: ClosedFamily) -> CohTable:
     """Cohomology table of the open stratum: one summand per representative."""
     _require_subfamily_of_ss(family)
     entries = []
-    for w, lw, iw in kostant_cells(g.mu, family):
+    for w, lw, iw in kostant_cells(g, family):
         delta = iw.complement()
         steinberg = rep_label(STEINBERG_QUOTIENT, iw)
         entries.append(CohEntry(w, lw, iw, delta, 2 * lw + len(delta), -lw, steinberg))
@@ -108,7 +119,7 @@ def table_closed(g: SlopeFunction, family: ClosedFamily) -> CohTable:
     _require_subfamily_of_ss(family)
     trivial = rep_label(INDUCED, ParabolicType.full(g.d))
     entries = []
-    for w, lw, iw in kostant_cells(g.mu, family):
+    for w, lw, iw in kostant_cells(g, family):
         delta = iw.complement()
         missing = len(delta)
         if missing == 1:
@@ -157,14 +168,14 @@ def predicted_counts(g: SlopeFunction, family: ClosedFamily, q: int, n: int) -> 
     """(open, closed, total) point-count predictions over GF(q^n)."""
     open_trace = trace_prediction(table_open(g, family), q, n)
     closed_trace = trace_prediction(table_closed(g, family), q, n)
-    total = sum(q ** (n * lw) for _w, lw, _iw in kostant_cells(g.mu, family))
+    total = sum(q ** (n * lw) for _w, lw, _iw in kostant_cells(g, family))
     return open_trace, closed_trace, total
 
 
 def omega_set(g: SlopeFunction, family: ClosedFamily, parabolic: ParabolicType) -> tuple[Perm, ...]:
     """Representatives whose attached parabolic set sits inside the given one."""
     return tuple(
-        w for w, _lw, iw in kostant_cells(g.mu, family) if iw.issubset(parabolic)
+        w for w, _lw, iw in kostant_cells(g, family) if iw.issubset(parabolic)
     )
 
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import accumulate
 from math import ceil, floor, lcm
 from operator import mul
 
 from .errors import ConfigError
 from .records import Record, lazy
-from .weyl import ParabolicType
 
 
 class SlopeFunction(Record):
@@ -207,19 +205,13 @@ class ClosedFamily(Record):
     def semistable(cls) -> "ClosedFamily":
         return cls(Fraction(0), True)
 
-    def contains_degree(self, degree: Fraction) -> bool:
-        # cross-multiplied (denominators are positive): cheaper than comparing Fractions
-        t = self.threshold
-        lhs, rhs = degree.numerator * t.denominator, t.numerator * degree.denominator
-        return lhs > rhs if self.strict else lhs >= rhs
-
     def least_scaled_degree(self, scale: int) -> int:
         """The least integer m with m / scale in the family."""
         bound = self.threshold * scale
         return floor(bound) + 1 if self.strict else ceil(bound)
 
     def contains(self, h: Subfunction) -> bool:
-        return self.contains_degree(h.degree)
+        return h.degree > self.threshold if self.strict else h.degree >= self.threshold
 
     @property
     def within_ss(self) -> bool:
@@ -246,16 +238,6 @@ def parse_family(spec: str) -> ClosedFamily:
     if isinstance(spec, str) and spec.startswith("ge:"):
         return ClosedFamily(parse_value(spec[3:], "family threshold"), strict=False)
     raise ConfigError(f"unknown family spec {spec!r}")
-
-
-def outside_family(w_mu, family: ClosedFamily) -> ParabolicType:
-    """Reflections s_i whose i-th partial sum of w.mu lies outside the family:
-    I_w for a minimal coset representative w, since the family depends only
-    on the degree and the degree of the prefix subfunction (`checks.h_w_i`)
-    is that partial sum."""
-    sums = accumulate(w_mu[:-1])
-    gens = [i for i, total in enumerate(sums, start=1) if not family.contains_degree(total)]
-    return ParabolicType.from_gens(len(w_mu), gens)
 
 
 # -- filtered spaces ----------------------------------------------------------

@@ -4,12 +4,11 @@ Permutations are tuples in one-line notation with values 1..d, composed as
 functions: compose(u, v)(i) = u(v(i)).  Simple reflections s_1..s_{d-1} are
 the adjacent transpositions; length is the inversion count.
 
-A weakly decreasing rational vector mu plays the role of a cocharacter.
-Its stabilizer is the parabolic subgroup generated by the reflections
-fixing equal neighbours; the minimal-length coset representatives modulo
-that stabilizer are the permutations increasing on each block of equal
-entries.  A parabolic type's representation dimensions, dim_induced and
-dim_v, are q-counts of its partial flags.
+A composition of d (block sizes, such as a slope function's
+multiplicities) names the parabolic subgroup fixing its blocks of
+positions; the minimal-length coset representatives modulo it are the
+permutations increasing on each block.  A parabolic type's representation
+dimensions, dim_induced and dim_v, are q-counts of its partial flags.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .exactalg.qcount import q_binomial, q_multinomial, require_prime
 from .records import Record, setfield
 
 Perm = tuple[int, ...]
-Cocharacter = tuple  # of Fractions; a plain alias, so weyl never loads fractions
 
 
 def identity(d: int) -> Perm:
@@ -71,17 +69,13 @@ def bruhat_leq(u: Perm, w: Perm) -> bool:
     return True
 
 
-# -- cocharacters ------------------------------------------------------------
-
-
-def is_weakly_decreasing(mu) -> bool:
-    return all(mu[i] >= mu[i + 1] for i in range(len(mu) - 1))
+# -- the action on vectors ----------------------------------------------------
 
 
 def act(w: Perm, mu) -> tuple:
     """Permutation action: entry k of w.mu is mu[w^{-1}(k)]."""
     if len(w) != len(mu):
-        raise ConfigError("cocharacter size mismatch")
+        raise ConfigError("vector size mismatch")
     inv = inverse(w)
     return tuple(mu[inv[k] - 1] for k in range(len(mu)))
 
@@ -172,41 +166,27 @@ def parabolic_types(d: int):
             yield ParabolicType(d, gens)
 
 
-def _blocks(mu) -> tuple[tuple[int, int], ...]:
-    """Maximal runs [start, stop) of equal entries (0-based positions)."""
-    out = []
-    start = 0
-    for i in range(1, len(mu) + 1):
-        if i == len(mu) or mu[i] != mu[start]:
-            out.append((start, i))
-            start = i
+def coset_min(w: Perm, sizes) -> Perm:
+    """Minimal-length element of w modulo the parabolic of the block sizes
+    on the right: sort the values of w on each block of positions."""
+    out, start = list(w), 0
+    for size in sizes:
+        out[start:start + size] = sorted(out[start:start + size])
+        start += size
     return tuple(out)
 
 
-def coset_min(w: Perm, mu) -> Perm:
-    """Minimal-length element of w (mod the stabilizer of mu on the right):
-    sort the values of w on each block of equal mu entries."""
-    if not is_weakly_decreasing(mu):
-        raise ConfigError("cocharacter must be weakly decreasing")
-    out = list(w)
-    for start, stop in _blocks(mu):
-        out[start:stop] = sorted(out[start:stop])
-    return tuple(out)
-
-
-def is_kostant(w: Perm, mu) -> bool:
-    return coset_min(w, mu) == w
+def is_kostant(w: Perm, sizes) -> bool:
+    return coset_min(w, sizes) == w
 
 
 @lru_cache(maxsize=None)
-def kostant_reps(mu: Cocharacter) -> tuple[Perm, ...]:
-    """Minimal-length representatives of S_d modulo the stabilizer of mu,
-    sorted by (length, one-line).  They are the ordered set partitions of
-    1..d with the block sizes of mu, each block of positions filled with its
-    values in increasing order: d!/prod(m_i!) of them, built directly."""
-    if not is_weakly_decreasing(mu):
-        raise ConfigError("cocharacter must be weakly decreasing")
-    sizes = [stop - start for start, stop in _blocks(mu)]
+def kostant_reps(sizes: tuple[int, ...]) -> tuple[Perm, ...]:
+    """Minimal-length representatives of S_d modulo the parabolic of the
+    block sizes, sorted by (length, one-line).  They are the ordered set
+    partitions of 1..d with those block sizes, each block of positions
+    filled with its values in increasing order: d!/prod(m_i!) of them, built
+    directly."""
 
     def fill(k: int, free: tuple[int, ...]):
         if k == len(sizes):
@@ -217,15 +197,15 @@ def kostant_reps(mu: Cocharacter) -> tuple[Perm, ...]:
             for tail in fill(k + 1, rest):
                 yield chosen + tail
 
-    return tuple(sorted(fill(0, identity(len(mu))), key=lambda w: (length(w), w)))
+    return tuple(sorted(fill(0, identity(sum(sizes))), key=lambda w: (length(w), w)))
 
 
-def double_coset_reps(i: int, mu: Cocharacter) -> tuple[Perm, ...]:
-    """One minimal-length representative per double coset W_{S\\{s_i}}\\W/W_mu:
-    the Kostant representatives for mu whose inverse is minimal modulo the
-    maximal parabolic without s_i, sorted by (length, one-line)."""
-    d = len(mu)
+def double_coset_reps(i: int, sizes) -> tuple[Perm, ...]:
+    """One minimal-length representative per double coset W_{S\\{s_i}}\\W/W_sizes:
+    the Kostant representatives of the block sizes whose inverse is minimal
+    modulo the maximal parabolic without s_i, of block sizes (i, d - i),
+    sorted by (length, one-line)."""
+    d = sum(sizes)
     if not 1 <= i <= d - 1:
         raise ConfigError(f"index {i} out of range for d={d}")
-    cut = (1,) * i + (0,) * (d - i)
-    return tuple(w for w in kostant_reps(mu) if is_kostant(inverse(w), cut))
+    return tuple(w for w in kostant_reps(sizes) if is_kostant(inverse(w), (i, d - i)))

@@ -485,11 +485,12 @@ def intra_package_imports(module_level: bool = False) -> dict[str, set[str]]:
 FIELD_MODULES = {"perdom.exactalg.gf", "perdom.exactalg.subspaces"}
 # modules that a module must not load when it is imported, directly or through
 # another module: the induction complexes run without the slope, flag, formula
-# and check layers, and the formula layers without a finite field
+# and check layers, the formula layers without a finite field, and slope
+# functions without the symmetric group
 FORBIDDEN_AT_IMPORT = {
     "perdom.complexes": {"perdom.slopes", "perdom.flagenum", "perdom.cohomology", "perdom.checks"},
     "perdom.cohomology": FIELD_MODULES,
-    "perdom.slopes": FIELD_MODULES,
+    "perdom.slopes": FIELD_MODULES | {"perdom.weyl"},
     "perdom.weyl": FIELD_MODULES,
 }
 

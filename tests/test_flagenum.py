@@ -75,7 +75,7 @@ def test_enumeration_is_exact_and_matches_cell_count(values, p, n):
     flags = list(enumerate_flags(g, p, n))
     assert len(flags) == flag_count(g, p, n)
     assert len({flag.members for flag in flags}) == len(flags)
-    bruhat_total = sum((p**n) ** length(w) for w in kostant_reps(g.mu))
+    bruhat_total = sum((p**n) ** length(w) for w in kostant_reps(g.mults))
     assert len(flags) == bruhat_total
     for flag in flags:
         assert tuple(m.dim for m in flag.members) == g.cumulative_dims()

@@ -177,13 +177,13 @@ def test_kappa_on_random_cocharacters(seed):
         kappa(i, g.mu)
 
 
-def kostant_i_w(mu, family: ClosedFamily) -> dict:
+def kostant_i_w(g: SlopeFunction, family: ClosedFamily) -> dict:
     """I_w of every Kostant representative, as `kostant_cells` stores it."""
-    return {w: iw for w, _lw, iw in kostant_cells(mu, family)}
+    return {w: iw for w, _lw, iw in kostant_cells(g, family)}
 
 
 def test_I_w_rank_five_example():
-    i_w = kostant_i_w(tuple(map(F, (4, 3, 2, 1, -10))), ClosedFamily.semistable())
+    i_w = kostant_i_w(from_values([4, 3, 2, 1, -10]), ClosedFamily.semistable())
     assert i_w[from_cycle(5, (2, 3, 4))].complement() == (1, 2, 3, 4)
     assert i_w[from_cycle(5, (2, 3, 4, 5))].complement() == (1,)
     assert i_w[identity(5)].gens == ()
@@ -191,18 +191,38 @@ def test_I_w_rank_five_example():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_I_w_matches_prefix_sum_formula(d):
-    """I_w, read off the prefix sums of w.mu, against its definition on the
-    prefix subfunctions, for ss and several threshold families."""
+    """I_w, read off the integer prefix sums of w acting on the scaled mu,
+    against its definition on the prefix subfunctions, for ss and several
+    threshold families, strict and non-strict fractional ones among them."""
     rng = random.Random(d)
-    families = [parse_family(spec) for spec in ("ss", "ge:0", "ge:1/2", "ge:1", "ge:3", "ge:-2")]
-    families.append(ClosedFamily(F(1), strict=True))
+    specs = ("ss", "ge:0", "ge:1/2", "ge:1", "ge:3", "ge:-2", "ge:5/3")
+    families = [parse_family(spec) for spec in specs]
+    families += [ClosedFamily(F(1), strict=True), ClosedFamily(F(2, 3), strict=True)]
     for _ in range(3):
         g = random_slope_function(rng, d)
         for family in families:
-            i_w = kostant_i_w(g.mu, family)
-            assert set(i_w) == set(kostant_reps(g.mu))
+            i_w = kostant_i_w(g, family)
+            assert set(i_w) == set(kostant_reps(g.mults))
             for w, iw in i_w.items():
                 assert iw.gens == I_w_oracle(w, g.mu, family)
+
+
+def test_I_w_oracle_catches_a_threshold_one_too_high(monkeypatch):
+    """Negative control: under ge:1 the prefix sum 1 of (1, 2, -3) sits
+    exactly on the threshold; a least scaled degree one too high moves it
+    out of the family, and the oracle sees that."""
+    g, family = from_values([2, 1, -3]), parse_family("ge:1")
+    assert all(iw.gens == I_w_oracle(w, g.mu, family) for w, iw in kostant_i_w(g, family).items())
+    least = ClosedFamily.least_scaled_degree
+    monkeypatch.setattr(ClosedFamily, "least_scaled_degree",
+                        lambda self, scale: least(self, scale) + 1)
+    kostant_cells.cache_clear()
+    try:
+        i_w = kostant_i_w(g, family)
+    finally:
+        kostant_cells.cache_clear()
+    assert i_w[(2, 1, 3)].gens == (1,)
+    assert I_w_oracle((2, 1, 3), g.mu, family) == ()
 
 
 def test_family_membership_and_ss():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
     TheoremCheckError,
 )
 
-ENV_BUDGET = "PERDOM_BUDGET"
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -35,13 +33,6 @@ def _parse_g(args) -> slopes.SlopeFunction:
     spec = args.g
     if not spec:
         raise ConfigError("a slope function is required (--g or --drinfeld)")
-    if spec.startswith("@"):
-        try:
-            with open(spec[1:], "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read a slope config from {spec[1:]!r}: {exc}") from exc
-        return slopes.parse_g_config(config)
     parts = (part.strip() for part in spec.split(","))
     values = [slopes.parse_value(part, "slope value") for part in parts if part]
     if not values:
@@ -78,30 +69,16 @@ def _n_values(ranges) -> tuple[int, ...]:
     return tuple(dict.fromkeys(n for r in ranges for n in r))
 
 
-def _budget(args) -> int:
-    budget, source = getattr(args, "budget", None), "--budget"
-    if budget is None:
-        env, source = os.environ.get(ENV_BUDGET), ENV_BUDGET
-        if not env:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"bad {ENV_BUDGET} value {env!r}") from exc
-    if budget < 0:
-        raise ConfigError(f"{source} must be at least 0, got {budget}")
-    return budget
-
-
 def _require_budget(args, price, what: str):
     """The one budget gate: every enumerating command calls it once and
     exits 4 before enumerating more than the budget.
     price(cap) is the work, or math.inf once its running value passes cap."""
-    budget = _budget(args)
+    budget = args.budget
+    if budget < 0:
+        raise ConfigError(f"--budget must be at least 0, got {budget}")
     if price(budget) > budget:
-        raise_with = f"--budget or {ENV_BUDGET}" if hasattr(args, "budget") else ENV_BUDGET
         raise BudgetExceededError(
-            f"enumeration needs more {what} than the budget of {budget} (raise with {raise_with})"
+            f"enumeration needs more {what} than the budget of {budget} (raise with --budget)"
         )
 
 
@@ -368,9 +345,9 @@ def cmd_verify_all(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False):
+def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=True):
     if g:
-        sub.add_argument("--g", help='slope values "2,1,-3" (fractions allowed) or @config.json')
+        sub.add_argument("--g", help='slope values "2,1,-3" (fractions allowed)')
         sub.add_argument("--drinfeld", type=int, metavar="D",
                          help="hyperplane-complement slope function in dimension D")
     if q:
@@ -380,8 +357,8 @@ def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=False):
     if n:
         sub.add_argument("--n", help='extension degrees, e.g. "2" or "1..3"')
     if budget:
-        sub.add_argument("--budget", type=int,
-                         help=f"work budget (default {DEFAULT_BUDGET}, env {ENV_BUDGET})")
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                         help=f"work budget (default {DEFAULT_BUDGET})")
     sub.add_argument("--json", metavar="PATH", help="write a JSON report (- for stdout)")
 
 
@@ -397,15 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("table", help="predicted cohomology tables (open and closed)")
-    _add_common(p, family=True, n=True, budget=True)
+    _add_common(p, family=True, n=True)
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("zeta", help="trace predictions vs. brute-force point counts")
-    _add_common(p, family=True, n=True, budget=True)
+    _add_common(p, family=True, n=True)
     p.set_defaults(func=cmd_zeta)
 
     p = subs.add_parser("dims", help="representation dimensions for all parabolic types")
-    _add_common(p, g=False, budget=True)
+    _add_common(p, g=False)
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
     p.set_defaults(func=cmd_dims)
 
@@ -417,11 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kcomplex)
 
     p = subs.add_parser("stalk", help="stalk acyclicity and contraction witnesses")
-    _add_common(p, family=True, n=True, budget=True)
+    _add_common(p, family=True, n=True)
     p.set_defaults(func=cmd_stalk)
 
     p = subs.add_parser("verify-all", help="run the consolidated verification suite")
-    _add_common(p, g=False, q=False, family=True)
+    _add_common(p, g=False, q=False, family=True, budget=False)
     p.add_argument("--quick", action="store_true", help="reduced grid for smoke testing")
     p.set_defaults(func=cmd_verify_all)
 

@@ -161,19 +161,6 @@ def random_slope_function(rng, d: int) -> SlopeFunction:
     return validate(pairs)
 
 
-def parse_g_config(data) -> SlopeFunction:
-    """Config form: list of [numerator, denominator, multiplicity], each a
-    JSON integer (not a float, string or boolean)."""
-    try:
-        # json.load reads 1.0 as a float; bool is a subclass of int
-        if any(type(x) is not int for entry in data for x in entry):
-            raise TypeError("entries must be JSON integers")
-        pairs = tuple((Fraction(n, den), m) for n, den, m in data)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed slope config: {exc}") from exc
-    return validate(pairs)
-
-
 class Subfunction(Record):
     """A multiset of slope values, stored sorted decreasing."""
 

@@ -130,9 +130,6 @@ class ParabolicType(Record):
     def union(self, indices) -> "ParabolicType":
         return ParabolicType.from_gens(self.d, set(self.gens) | set(indices))
 
-    def sort_key(self):
-        return (len(self.gens), self.gens)
-
 
 @lru_cache(maxsize=None)
 def dim_induced(parabolic: ParabolicType, q: int) -> int:

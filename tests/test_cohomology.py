@@ -236,7 +236,11 @@ def test_vanishing_check_rejects_other_families():
 def euler_characteristic(table):
     """Alternating sum of the table as a formal multiset (sign, rep, twist)."""
     terms = [((-1 if e.degree % 2 else 1), e.rep, e.twist) for e in table.entries]
-    return tuple(sorted(terms, key=lambda t: (t[2], t[1].parabolic.sort_key(), t[1].kind, t[0])))
+    def key(term):
+        sign, rep, twist = term
+        return (twist, len(rep.parabolic.gens), rep.parabolic.gens, rep.kind, sign)
+
+    return tuple(sorted(terms, key=key))
 
 
 def euler_evaluate(terms, q):

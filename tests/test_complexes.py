@@ -536,9 +536,11 @@ UNREFERENCED_ALLOWED = {"FieldSpec.sub"}
 def test_every_function_has_a_caller_in_src():
     # a module function counts as used when another part of src/ names it
     # (bare or as an attribute); a method only when it is read as an
-    # attribute; references inside the function's own body do not count
+    # attribute; a read of C.attr, where C names a class in src/, counts only
+    # for C's own attr; references inside the function's own body do not count
     defs = []  # (qualified name, bare name, is a method, def node)
-    refs = []  # (name, read as an attribute, the defs enclosing the reference)
+    refs = []  # (name, read as an attribute, the name it is read from, the enclosing defs)
+    classes = set()
 
     def visit(node, owner, enclosing):
         for child in ast.iter_child_nodes(node):
@@ -548,12 +550,14 @@ def test_every_function_has_a_caller_in_src():
                     defs.append((qualified, child.name, owner is not None, child))
                 visit(child, None, enclosing | {id(child)})
             elif isinstance(child, ast.ClassDef):
+                classes.add(child.name)
                 visit(child, child.name, enclosing)
             else:
                 if isinstance(child, ast.Name):
-                    refs.append((child.id, False, enclosing))
+                    refs.append((child.id, False, None, enclosing))
                 elif isinstance(child, ast.Attribute):
-                    refs.append((child.attr, True, enclosing))
+                    base = child.value.id if isinstance(child.value, ast.Name) else None
+                    refs.append((child.attr, True, base, enclosing))
                 visit(child, None, enclosing)
 
     for path in sorted(PACKAGE.rglob("*.py")):
@@ -563,7 +567,8 @@ def test_every_function_has_a_caller_in_src():
         for qualified, name, is_method, node in defs
         if not any(
             ref == name and (attr or not is_method) and id(node) not in enclosing
-            for ref, attr, enclosing in refs
+            and (base not in classes or qualified == f"{base}.{name}")
+            for ref, attr, base, enclosing in refs
         )
     )
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)

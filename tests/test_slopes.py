@@ -24,7 +24,6 @@ from perdom.slopes import (
     induced_degree,
     induced_type,
     parse_family,
-    parse_g_config,
     random_slope_function,
     scaled_degrees,
     subfunction,
@@ -108,24 +107,6 @@ def test_from_values_infers_multiplicities():
 def test_drinfeld_shape():
     g = drinfeld(4)
     assert g.pairs == ((F(3), 1), (F(-1), 3))
-
-
-def test_parse_g_config():
-    g = parse_g_config([[3, 2, 2], [-3, 1, 1]])
-    assert g.mu == (F(3, 2), F(3, 2), F(-3))
-    bad = (
-        [[1, 0, 1]],
-        [[1.5, 1, 1], [-1.5, 1, 1]],  # int() would truncate this to g = (1, -1)
-        [[1, 1, 1.0], [-1, 1, 1]],
-        [[True, 1, 1], [-1, 1, 1]],  # a boolean is not an integer here
-        [[1, 1, 1], [-1, True, 1]],
-        [["1", 1, 1], [-1, 1, 1]],
-        [[1, 1], [-1, 1]],
-        3,
-    )
-    for data in bad:
-        with pytest.raises(ConfigError, match="malformed slope config"):
-            parse_g_config(data)
 
 
 def test_subfunction_degree_and_order():

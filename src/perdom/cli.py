@@ -33,40 +33,25 @@ def _parse_g(args) -> slopes.SlopeFunction:
     spec = args.g
     if not spec:
         raise ConfigError("a slope function is required (--g or --drinfeld)")
-    parts = (part.strip() for part in spec.split(","))
-    values = [slopes.parse_value(part, "slope value") for part in parts if part]
-    if not values:
-        raise ConfigError("empty slope value list")
-    return slopes.from_values(values)
+    return slopes.from_values([slopes.parse_value(part, "slope value") for part in spec.split(",")])
 
 
-def _parse_n_ranges(spec: str | None) -> tuple[range, ...]:
-    """The nonempty ranges of extension degrees in spec, e.g. "2" or "1..3",
-    unexpanded: commands price them by their endpoints and call _n_values
+def _parse_n(spec: str | None) -> range | None:
+    """The extension degrees in spec, "2" or "1..3", as one unexpanded range
+    (None if --n is absent): commands price it by its endpoints and expand it
     only after the budget gate."""
-    if not spec:
-        return ()
-    out: list[range] = []
+    if spec is None:
+        return None
+    lo, dots, hi = spec.partition("..")
     try:
-        for part in spec.split(","):
-            part = part.strip()
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.append(range(int(lo), int(hi) + 1))
-            elif part:
-                out.append(range(int(part), int(part) + 1))
+        ns = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError as exc:
         raise ConfigError(f"cannot parse extension degrees from {spec!r}") from exc
-    out = [r for r in out if r]
-    if not out:
+    if not ns:
         raise ConfigError(f"empty extension-degree range {spec!r}")
-    if min(r.start for r in out) < 1:
+    if ns.start < 1:
         raise ConfigError("extension degrees must be >= 1")
-    return tuple(out)
-
-
-def _n_values(ranges) -> tuple[int, ...]:
-    return tuple(dict.fromkeys(n for r in ranges for n in r))
+    return ns
 
 
 def _require_budget(args, price, what: str):
@@ -139,8 +124,8 @@ def cmd_table(args) -> int:
     g = _parse_g(args)
     family = _parse_family(args)
     require_prime(args.q)
-    ranges = _parse_n_ranges(args.n)
-    degrees = sum(r.stop - r.start for r in ranges)  # repeats included
+    ns = _parse_n(args.n) or range(0)
+    degrees = ns.stop - ns.start  # len() overflows past sys.maxsize
 
     def price(cap):
         # d^2 units per representative: its length counts inversions over
@@ -152,9 +137,8 @@ def cmd_table(args) -> int:
     _require_budget(args, price, "work units (d^2, plus 3 per n, per Kostant representative)")
     open_table = coh.table_open(g, family)
     closed_table = coh.table_closed(g, family)
-    ns = _n_values(ranges)
     if ns:
-        _require_printable_traces(open_table.entries + closed_table.entries, args.q, max(ns))
+        _require_printable_traces(open_table.entries + closed_table.entries, args.q, ns[-1])
     payload = {
         "open": coh.table_json(open_table, args.q, ns),
         "closed": coh.table_json(closed_table, args.q, ns),
@@ -185,8 +169,8 @@ def _flag_inputs(args, stalks=False):
     from .flagenum import classification_tests, flag_count
     g = _parse_g(args)
     family = _parse_family(args)
-    ranges = _parse_n_ranges(args.n) or (range(1, 2),)
-    n = max(r[-1] for r in ranges)
+    ns = _parse_n(args.n) or range(1, 2)
+    n = ns[-1]
 
     def price(cap):
         tests = classification_tests(g, args.q, n, cap)
@@ -197,7 +181,7 @@ def _flag_inputs(args, stalks=False):
 
     what = "flag/subspace tests and stalk chains" if stalks else "flag/subspace tests"
     _require_budget(args, price, what)
-    return g, family, _n_values(ranges)
+    return g, family, ns
 
 
 def cmd_zeta(args) -> int:
@@ -265,9 +249,9 @@ def cmd_kcomplex(args) -> int:
     if d < 2:
         raise ConfigError("kcomplex needs --d >= 2: at d = 1 there is no proper reflection subset")
     i0 = None
-    if args.i0:
+    if args.i0 is not None:
         try:
-            gens = [int(x) for x in args.i0.split(",") if x.strip()]
+            gens = [int(x) for x in args.i0.split(",")] if args.i0 else []
         except ValueError as exc:
             raise ConfigError(f"cannot parse reflection indices from {args.i0!r}") from exc
         i0 = weyl.ParabolicType.from_gens(d, gens)
@@ -347,15 +331,17 @@ def cmd_verify_all(args) -> int:
 
 def _add_common(sub, *, g=True, q=True, family=False, n=False, budget=True):
     if g:
-        sub.add_argument("--g", help='slope values "2,1,-3" (fractions allowed)')
+        sub.add_argument("--g", help='slope values, each N or N/D such as -3/2, e.g. "2,1,-3"')
         sub.add_argument("--drinfeld", type=int, metavar="D",
                          help="hyperplane-complement slope function in dimension D")
     if q:
         sub.add_argument("--q", type=int, required=True, help="prime size of the base field")
     if family:
-        sub.add_argument("--family", default="ss", help='"ss" or "ge:NUM/DEN"')
+        sub.add_argument("--family", default="ss",
+                         help='"ss" or "ge:" plus a threshold N or N/D, e.g. "ge:1/3"')
     if n:
-        sub.add_argument("--n", help='extension degrees, e.g. "2" or "1..3"')
+        sub.add_argument("--n", help='one extension degree "2" or one range "1..3" '
+                         "(default: n = 1 for zeta and stalk, no traces for table)")
     if budget:
         sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help=f"work budget (default {DEFAULT_BUDGET})")
@@ -389,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("kcomplex", help="verify induction-complex homology")
     _add_common(p, g=False)
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
-    p.add_argument("--i0", help='reflection subset, e.g. "1,2" (default: all proper subsets)')
+    p.add_argument("--i0", help='reflection subset, e.g. "1,2", or "" for the empty set '
+                   "(the Borel; default: all proper subsets)")
     p.add_argument("--corrupt-signs", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_kcomplex)
 

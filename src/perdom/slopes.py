@@ -13,6 +13,7 @@ they are stored as a threshold plus a strictness flag.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -111,21 +112,20 @@ def validate(pairs) -> SlopeFunction:
     return g
 
 
+_VALUE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
+
+
 def parse_value(text: str, what: str) -> Fraction:
-    """A slope value or family threshold such as "3/2" or "-1e-3".  A decimal
-    exponent past the integer digit limit (4300 where the interpreter sets
-    none) is refused before the Fraction is built, which for "1e10000000"
-    alone takes seconds; so is a value too long to print."""
+    """A slope value or family threshold, N or N/D in ASCII digits such as
+    "-3/2".  A part past the integer digit limit (4300 where the interpreter
+    sets none) is refused before int() reads it, and so is D = 0."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    try:
-        _, marker, exponent = text.lower().partition("e")
-        if marker and abs(int(exponent)) > limit:
-            raise ConfigError(f"{what} {text!r} has an exponent past {limit} digits")
-        value = Fraction(text)
-        str(value)  # ValueError past the digit limit
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad {what} {text!r}") from exc
-    return value
+    match = _VALUE.fullmatch(text.strip())
+    if match:
+        sign, num, den = match.groups("1")
+        if max(len(num), len(den)) <= limit and int(den):
+            return Fraction(int(sign + num), int(den))
+    raise ConfigError(f"bad {what} {text!r}")
 
 
 def from_values(values) -> SlopeFunction:
@@ -219,10 +219,10 @@ class ClosedFamily(Record):
 
 
 def parse_family(spec: str) -> ClosedFamily:
-    """Accepts "ss" or "ge:NUM/DEN" (degree at least NUM/DEN)."""
+    """Accepts "ss" or "ge:VALUE" (degree at least VALUE, N or N/D)."""
     if spec == "ss":
         return ClosedFamily.semistable()
-    if isinstance(spec, str) and spec.startswith("ge:"):
+    if spec.startswith("ge:"):
         return ClosedFamily(parse_value(spec[3:], "family threshold"), strict=False)
     raise ConfigError(f"unknown family spec {spec!r}")
 

@@ -264,6 +264,13 @@ def test_kcomplex_single_subset(capsys):
     assert "I0=[1, 2]" in out
 
 
+def test_i0_empty_string_is_the_borel(capsys):
+    _, every, _ = run(capsys, "kcomplex", "--d", "3", "--q", "2")
+    code, out, _ = run(capsys, "kcomplex", "--d", "3", "--q", "2", "--i0", "")
+    [borel] = [line for line in every.splitlines(keepends=True) if line.startswith("I0=[] ")]
+    assert code == 0 and out == borel
+
+
 def test_kcomplex_corrupt_signs_fails(capsys):
     code, _, err = run(capsys, "kcomplex", "--d", "3", "--q", "2", "--corrupt-signs")
     assert code == 1
@@ -342,9 +349,10 @@ def test_zeta_mismatch_exits_three(capsys, monkeypatch):
 
 
 def test_bad_n_ranges_exit_two(capsys):
-    for bad in ("x", "0", "3..x", ",,"):
+    for bad in ("x", "0", "3..x", ",,", "1,3", "1..2,4"):
         code, _, err = run(capsys, "zeta", "--g", "1,-1", "--q", "2", "--n", bad)
         assert code == 2, bad
+        assert err.startswith("error: ") and "Traceback" not in err, bad
 
 
 @pytest.mark.parametrize(
@@ -378,9 +386,17 @@ def test_bad_n_ranges_exit_two(capsys):
         ("table", "--g", "1,-1", "--q", "2", "--family", "ge:1e5000"),
         ("stalk", "--g", "1,-1", "--q", "2", "--family", "ge:-1e5000"),
         ("verify-all", "--quick", "--family", "ge:-1e5000"),
-        ("zeta", "--g", "9e4299,9e4299", "--q", "2"),
+        ("zeta", "--g", "1/" + "9" * 4300 + ",1/" + "9" * 4299 + "8", "--q", "2"),
         ("zeta", "--g", "1,-1", "--q", "2", "--n", "1", "--budget", "-1"),
         ("kcomplex", "--d", "2", "--q", "2", "--budget", "-3"),
+        ("table", "--g", "1.5,-1.5", "--q", "2"),
+        ("table", "--g", "1e-3,-1e-3", "--q", "2"),
+        ("table", "--g", "2,,1,-3", "--q", "2"),
+        ("table", "--g", "2,1,-3,", "--q", "2"),
+        ("table", "--g", "2,1,-3", "--q", "2", "--family", "ge:0.5"),
+        ("kcomplex", "--d", "3", "--q", "2", "--i0", ","),
+        ("kcomplex", "--d", "4", "--q", "2", "--i0", "1,,2"),
+        ("table", "--g", "1" + "0" * 4999 + ",-1" + "0" * 4999, "--q", "2"),
     ],
     ids=[
         "at-file-is-not-a-slope-value",
@@ -414,6 +430,14 @@ def test_bad_n_ranges_exit_two(capsys):
         "zeta-weighted-sum-too-long-to-print",
         "budget-negative",
         "kcomplex-budget-negative",
+        "table-slope-decimal-point",
+        "table-slope-decimal-exponent",
+        "table-slope-empty-item",
+        "table-slope-trailing-comma",
+        "table-threshold-decimal-point",
+        "kcomplex-i0-comma",
+        "kcomplex-i0-empty-item",
+        "table-slope-numerator-past-digit-limit",
     ],
 )
 def test_bad_inputs_exit_two(argv, tmp_path):
@@ -462,7 +486,8 @@ def fuzzed_argv(rng) -> list[str]:
 
 def test_no_fuzzed_input_makes_main_raise(capsys):
     # every input ends in a documented exit code (0, 2 or 4 for these
-    # commands) or in argparse's usage error, never in a traceback
+    # commands) or in argparse's usage error, never in a traceback; a slope
+    # value is N or N/D, so a decimal exponent in --g exits 2 before pricing
     rng = random.Random(21)
     codes = {}
     for _ in range(800):
@@ -473,6 +498,8 @@ def test_no_fuzzed_input_makes_main_raise(capsys):
             code = exc.code
         capsys.readouterr()
         assert code in (0, 2, 4), argv
+        if "--g" in argv and "e" in argv[argv.index("--g") + 1]:
+            assert code == 2, argv
         codes[code] = codes.get(code, 0) + 1
     assert codes.get(0) and codes.get(2)
 

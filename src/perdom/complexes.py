@@ -1,14 +1,17 @@
-"""Explicit complexes: parabolic induction complexes and stalk subcomplexes.
+"""Explicit complexes: parabolic induction complexes and stalk subcomplexes,
+both order complexes of posets of rational subspaces, whose signed boundary
+maps one function, order_complex, builds.
 
-The induction complex for a proper reflection subset I0 has the functions
-on (G/P_I)(k) for I between I0 and the full set, graded by the number of
-missing reflections, with signed pullback differentials.  Its homology is
-concentrated in the top degree, where it has the generalized Steinberg
-dimension; verify_K checks exactly that with exact rational ranks.  The
-top homology is the induced dimension minus the rank of the last
-differential, whose rows are the pulled-back functions up to sign, so
-verify_K is the exact-rank route for dim v that weyl's Moebius route is
-compared with.
+The induction complex for a proper reflection subset I0 is the order
+complex of the flags whose member dims are the reflections missing from
+I0: the functions on (G/P_I)(k) for I between I0 and the full set, graded
+by the number of missing reflections, with signed pullback differentials.
+Its homology is concentrated in the top degree, where it has the
+generalized Steinberg dimension; verify_K checks exactly that with exact
+rational ranks.  The top homology is the induced dimension minus the rank
+of the last differential, whose rows are the pulled-back functions up to
+sign, so verify_K is the exact-rank route for dim v that weyl's Moebius
+route is compared with.
 
 The stalk machinery takes one flag, collects the rational subspaces whose
 induced type lies in the family, and checks that the order complex of that
@@ -25,7 +28,7 @@ from itertools import accumulate, combinations
 
 from .errors import ConfigError, InternalCheckError
 from .exactalg.gf import make_field
-from .exactalg.qcount import q_multinomial
+from .exactalg.qcount import q_binomial, q_multinomial
 from .exactalg.rational import ChainComplexQ, MatrixQ, chain_complex
 from .exactalg.subspaces import (
     SubspaceGF, enumerate_subspaces, rational_positions, rational_subspaces, subspaces_within,
@@ -37,81 +40,80 @@ from .weyl import ParabolicType, dim_v
 @lru_cache(maxsize=None)
 def coset_space(ptype: ParabolicType, q: int) -> tuple[tuple[int, ...], ...]:
     """The finite set (G/P_I)(k), each point a partial flag over GF(q) given
-    by the index of each member in `enumerate_subspaces(GF(q), d, dim)`, one
-    slot per missing dim, ascending; the full type gives the one point ().
+    by its members' positions in `rational_subspaces(q, d)`, one per missing
+    dim, smallest member first; the full type gives the one point ().
     Chains are built top down from `subspaces_within`, so only the missing
-    dims are enumerated, and come out ordered by their members' indices
+    dims are enumerated, and come out ordered by their members' positions
     read largest member first."""
     field, d, dims = make_field(q, 1), ptype.d, ptype.complement()
+    sizes = (q_binomial(d, c, q) for c in range(1, d - 1))
+    start = dict(zip(range(1, d), accumulate(sizes, initial=0)))  # of the first c-subspace
     chains = [()]
     if dims:
-        chains = [(i,) for i in range(len(enumerate_subspaces(field, d, dims[-1])))]
+        top = dims[-1]
+        chains = [(start[top] + i,) for i in range(len(enumerate_subspaces(field, d, top)))]
         for k, c in zip(dims[:0:-1], dims[-2::-1]):
             chains = [
-                (j,) + chain for chain in chains for j in subspaces_within(field, d, k, chain[0], c)
+                (start[c] + j,) + chain
+                for chain in chains
+                for j in subspaces_within(field, d, k, chain[0] - start[k], c)
             ]
     assert len(chains) == q_multinomial(ptype.composition(), q)
     return tuple(chains)
 
 
-@lru_cache(maxsize=None)
-def projection_indices(fine: ParabolicType, coarse: ParabolicType, q: int) -> tuple[int, ...]:
-    """For I inside J, the point map (G/P_I)(k) -> (G/P_J)(k): forget the
-    flag members whose dimension J does not cut."""
-    if not fine.issubset(coarse):
-        raise ConfigError("projection needs nested reflection subsets")
-    index = {pt: i for i, pt in enumerate(coset_space(coarse, q))}
-    keep = [k for k, dim in enumerate(fine.complement()) if dim in coarse.complement()]
-    return tuple(index[tuple(pt[k] for k in keep)] for pt in coset_space(fine, q))
+def order_complex(levels, signs=None) -> ChainComplexQ:
+    """The augmented chain complex, as transposed boundary maps (ranks are
+    unchanged), of an order complex given by its chains grouped by length,
+    each smallest element first.  The empty chain is term 0, and the face
+    without element j has sign (-1)^j, or signs[x] for the element x when
+    `signs` is given (build_K's corruption hook, which is no complex)."""
+    terms = [[()], *levels]
+    maps = []
+    for size, (below, level) in enumerate(zip(terms, terms[1:]), 1):
+        faces = {chain: i for i, chain in enumerate(below)}
+        alternating = tuple((-1) ** j for j in range(size))
+        rows = tuple(
+            {
+                faces[chain[:j] + chain[j + 1 :]]: sign
+                for j, sign in enumerate(
+                    alternating if signs is None else [signs[x] for x in chain]
+                )
+            }
+            for chain in level
+        )
+        maps.append(MatrixQ(len(level), len(below), rows))
+    return chain_complex(tuple(map(len, terms)), maps)
 
 
 # -- the induction complex ----------------------------------------------------
 
 
 def build_K(i0: ParabolicType, q: int, signs: str = "position") -> ChainComplexQ:
-    """The induction complex for i0, in degrees -1 .. #missing - 1.
-
-    The degree-p term is the functions on (G/P_J)(k) for each J containing
-    i0 with p + 1 missing reflections, in combinations order; degree -1 is
-    the one point of J = G.  The differential pulls back along each
-    projection to J + s_i, i missing from J.
-
-    signs="position" gives that block the parity of i's position among J's
-    missing reflections (the convention under which the squares
-    anticommute).  signs="index" uses the parity of i itself; that reading
-    does not square to zero and is kept as a deliberate corruption hook for
-    negative tests.
-    """
+    """The induction complex for i0, in degrees -1 .. #missing - 1: the order
+    complex of the flags whose member dims are the reflections missing from
+    i0 (a type-selected Tits building).  Its degree-p term is the functions
+    on (G/P_J)(k) for each J containing i0 with p + 1 missing reflections,
+    in combinations order; degree -1 is the one point of J = G.  The face
+    forgetting the member of dim i pulls back along the projection to
+    J + s_i, signed by the parity of i's position among J's missing
+    reflections.  signs="index" uses the parity of i itself on every map,
+    the augmentation included; that reading does not square to zero and is
+    kept as a deliberate corruption hook for negative tests."""
     if signs not in ("position", "index"):
         raise ConfigError(f"unknown sign convention {signs!r}")
     if i0.is_full:
         raise ConfigError("the induction complex needs a proper reflection subset")
-    missing = i0.complement()
-    terms = [
-        [i0.union(set(missing) - set(t)) for t in combinations(missing, k)]
-        for k in range(len(missing) + 1)
+    d, missing = i0.d, i0.complement()
+    others = set(missing)
+    levels = [
+        [pt for t in combinations(missing, k) for pt in coset_space(i0.union(others - set(t)), q)]
+        for k in range(1, len(missing) + 1)
     ]
-    starts, dims = [], []
-    for term in terms:
-        offsets = tuple(accumulate((len(coset_space(j, q)) for j in term), initial=0))
-        starts.append(dict(zip(term, offsets)))
-        dims.append(offsets[-1])
-    maps = []
-    for k in range(1, len(terms)):
-        rows = []
-        for j in terms[k]:
-            blocks = [
-                (
-                    starts[k - 1][j.union((i,))],
-                    projection_indices(j, j.union((i,)), q),
-                    -1 if (pos if signs == "position" else i) % 2 else 1,
-                )
-                for pos, i in enumerate(j.complement())
-            ]
-            for x in range(len(coset_space(j, q))):
-                rows.append({start + proj[x]: sign for start, proj, sign in blocks})
-        maps.append(MatrixQ(dims[k], dims[k - 1], tuple(rows)))
-    return chain_complex(dims, maps)
+    if signs == "position":
+        return order_complex(levels)
+    by_dim = [(-1) ** c for c in range(1, d) for _ in range(q_binomial(d, c, q))]
+    return order_complex(levels, by_dim)
 
 
 class KComplexReport(Record):
@@ -132,8 +134,8 @@ class KComplexReport(Record):
 
 
 def verify_K(i0: ParabolicType, q: int) -> KComplexReport:
-    """Homology must vanish below the top degree, where it has the
-    generalized Steinberg dimension of i0."""
+    """The homology of build_K's order complex of flags must vanish below
+    the top degree, where it has the generalized Steinberg dimension of i0."""
     complex_ = build_K(i0, q)
     homology = complex_.homology_dims()
     expected_top = dim_v(i0, q)
@@ -178,17 +180,12 @@ def build_stalk(flag: FilteredSpace, family: ClosedFamily) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _containment(p: int, d: int):
     """For each position in `rational_subspaces(p, d)`, the positions of the
-    rational subspaces properly containing that one, ascending: the
-    `subspaces_within` lists, inverted."""
-    field = make_field(p, 1)
-    sizes = (len(enumerate_subspaces(field, d, c)) for c in range(1, d - 1))
-    offsets = (0, *accumulate(sizes, initial=0))  # position of the first c-subspace
+    rational subspaces properly containing that one, ascending: the points
+    of the coset spaces of two-member flags, read bottom up."""
     above = [[] for _ in rational_subspaces(p, d)]
-    for k in range(2, d):
-        for i in range(len(enumerate_subspaces(field, d, k))):
-            for c in range(1, k):
-                for j in subspaces_within(field, d, k, i, c):
-                    above[offsets[c] + j].append(offsets[k] + i)
+    for c, k in combinations(range(1, d), 2):
+        for x, y in coset_space(ParabolicType.from_gens(d, set(range(1, d)) - {c, k}), p):
+            above[x].append(y)
     return tuple(map(tuple, above))
 
 
@@ -213,22 +210,9 @@ def _stalk_chains(above) -> list[list[tuple[int, ...]]]:
 @lru_cache(maxsize=256)
 def _order_complex_homology(above) -> tuple[int, ...]:
     """Reduced homology dimensions (degrees -1, 0, 1, ...) of the order
-    complex of the poset `above` describes, from its reduced simplicial chain
-    complex encoded as transposed boundary maps (ranks are unchanged).  The
-    complex depends only on the relation, and many stalks share one."""
-    levels = _stalk_chains(above)
-    dims = (1,) + tuple(len(level) for level in levels)
-    index = [{chain: i for i, chain in enumerate(level)} for level in levels]
-    # augmentation: every vertex hits the empty simplex with coefficient 1
-    maps = [MatrixQ(len(levels[0]), 1, tuple({0: 1} for _ in levels[0]))]
-    for p in range(1, len(levels)):
-        faces = index[p - 1]
-        rows = tuple(
-            {faces[chain[:j] + chain[j + 1 :]]: -1 if j % 2 else 1 for j in range(len(chain))}
-            for chain in levels[p]
-        )
-        maps.append(MatrixQ(len(levels[p]), len(levels[p - 1]), rows))
-    return chain_complex(dims, maps).homology_dims()
+    complex of the poset `above` describes.  The complex depends only on
+    the relation, and many stalks share one."""
+    return order_complex(_stalk_chains(above)).homology_dims()
 
 
 def stalk_homology(verts: tuple[int, ...], p: int, d: int) -> tuple[int, ...]:

@@ -13,18 +13,21 @@ by one, as perdom did before it classified one flag per Frobenius orbit and
 counted the flags under a certified largest member without building them;
 count_points_every_flag also judges each flag through the induced type's
 Fraction degree, not count_points' integer scaled degree.
+induction_maps_by_pullback assembles the induction complex's maps block by
+block from offsets and projections, as perdom did before it built that
+complex as an order complex.
 dim_v_by_moebius is the 2^m-term Moebius sum over the supersets of a
 reflection set, the route perdom took to a generalized Steinberg dimension
 before it grouped the terms by their largest kept cut.
 """
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from perdom.cohomology import dim_induced
-from perdom.complexes import stalk_report
+from perdom.complexes import coset_space, stalk_report
 from perdom.exactalg.rational import MatrixQ
 from perdom.exactalg.subspaces import SubspaceGF, rref
 from perdom.flagenum import CountReport, enumerate_flags, rational_subspaces
@@ -153,3 +156,37 @@ def dim_v_by_moebius(parabolic, q: int) -> int:
         for extra in combinations(missing, r):
             total += (-1) ** r * dim_induced(parabolic.union(extra), q)
     return total
+
+
+def induction_maps_by_pullback(i0, q: int) -> tuple[MatrixQ, ...]:
+    """The maps of the induction complex for i0: the degree-p term is the
+    coset spaces of the J containing i0 with p + 1 missing reflections, in
+    combinations order, each at its offset, and the block from J to J + s_i
+    pulls back along the projection that forgets the member of dim i,
+    signed by the parity of i's position among J's missing reflections."""
+    missing = i0.complement()
+    terms = [
+        [i0.union(set(missing) - set(t)) for t in combinations(missing, k)]
+        for k in range(len(missing) + 1)
+    ]
+    starts, dims = [], []
+    for term in terms:
+        offsets = tuple(accumulate((len(coset_space(j, q)) for j in term), initial=0))
+        starts.append(dict(zip(term, offsets)))
+        dims.append(offsets[-1])
+    maps = []
+    for k in range(1, len(terms)):
+        rows = []
+        for j in terms[k]:
+            blocks = []
+            for pos, i in enumerate(j.complement()):
+                coarse = j.union((i,))
+                index = {pt: x for x, pt in enumerate(coset_space(coarse, q))}
+                blocks.append((starts[k - 1][coarse], index, i, (-1) ** pos))
+            for pt in coset_space(j, q):
+                rows.append({
+                    start + index[tuple(x for x, dim in zip(pt, j.complement()) if dim != i)]: sign
+                    for start, index, i, sign in blocks
+                })
+        maps.append(MatrixQ(dims[k], dims[k - 1], tuple(rows)))
+    return tuple(maps)

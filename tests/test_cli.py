@@ -272,9 +272,12 @@ def test_i0_empty_string_is_the_borel(capsys):
 
 
 def test_kcomplex_corrupt_signs_fails(capsys):
-    code, _, err = run(capsys, "kcomplex", "--d", "3", "--q", "2", "--corrupt-signs")
-    assert code == 1
-    assert "compose to zero" in err
+    # at I0 = {2} in d = 4 both missing dims are odd, so the augmentation
+    # alone, corrupted, would still compose to zero with the next map
+    for d, i0 in (("3", ()), ("4", ("--i0", "2"))):
+        code, _, err = run(capsys, "kcomplex", "--d", d, "--q", "2", *i0, "--corrupt-signs")
+        assert code == 1
+        assert "differentials 0 and 1 do not compose to zero" in err
 
 
 def test_stalk_command(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     containment_by_sum,
+    induction_maps_by_pullback,
     kernel_intersection,
     rank_mod_prime,
     stalk_counts_every_flag,
@@ -20,7 +21,6 @@ from perdom.exactalg.qcount import all_flag_points
 from perdom.exactalg.subspaces import (
     SubspaceGF,
     enumerate_chains,
-    enumerate_subspaces,
     rational_positions,
     rational_subspaces,
 )
@@ -41,35 +41,27 @@ SS = ClosedFamily.semistable()
 
 
 def test_coset_space_sizes_and_projection_fibers():
+    # dropping the top member of each Borel point lands on a line, and each
+    # line lies in the 3 planes of GF(2)^3 that contain it
     borel = ParabolicType.empty(3)
-    maximal = ParabolicType.from_gens(3, [1])
+    lines = ParabolicType.from_gens(3, [2])
     assert len(cx.coset_space(borel, 2)) == 21
-    assert len(cx.coset_space(maximal, 2)) == 7
-    proj = cx.projection_indices(borel, maximal, 2)
+    assert len(cx.coset_space(lines, 2)) == 7
     fibers = {}
-    for x, y in enumerate(proj):
-        fibers.setdefault(y, []).append(x)
+    for pt in cx.coset_space(borel, 2):
+        fibers.setdefault(pt[:-1], []).append(pt)
+    assert set(fibers) == set(cx.coset_space(lines, 2))
     assert all(len(f) == 3 for f in fibers.values())
-
-
-def test_projection_extremes():
-    borel = ParabolicType.empty(3)
-    assert cx.projection_indices(borel, borel, 2) == tuple(range(21))
-    to_point = cx.projection_indices(borel, ParabolicType.full(3), 2)
-    assert set(to_point) == {0}
-    for _ in range(2):  # the cache holds results, not exceptions
-        with pytest.raises(ConfigError):
-            cx.projection_indices(ParabolicType.from_gens(3, [1]), borel, 2)
 
 
 @pytest.mark.parametrize("d,q", [(d, q) for d in (2, 3, 4) for q in (2, 3)])
 def test_coset_points_are_member_indices_in_member_sort_key_order(d, q):
-    # a point holds each member's index among the subspaces of its dim; the
-    # chain walk, an independent route, read through that index gives the
-    # same points, each once, and sorted by the members' sort_key, largest
-    # member first, the same order
+    # a point holds each member's position in rational_subspaces, smallest
+    # member first; the chain walk, an independent route, read through
+    # those positions gives the same points, each once, and sorted by the
+    # members' sort_key, largest member first, the same order
     field = make_field(q, 1)
-    index = {u: i for k in range(d + 1) for i, u in enumerate(enumerate_subspaces(field, d, k))}
+    position = {u: i for i, u in enumerate(rational_subspaces(q, d))}
     for ptype in parabolic_types(d):
         points = cx.coset_space(ptype, q)
         assert len(set(points)) == len(points)
@@ -77,7 +69,7 @@ def test_coset_points_are_member_indices_in_member_sort_key_order(d, q):
             enumerate_chains(field, d, ptype.complement()),
             key=lambda chain: tuple(m.sort_key() for m in reversed(chain)),
         )
-        assert points == tuple(tuple(index[m] for m in chain) for chain in chains)
+        assert points == tuple(tuple(position[m] for m in chain) for chain in chains)
 
 
 def test_narrow_i0_builds_only_the_subspaces_of_its_cut_dims(monkeypatch):
@@ -89,9 +81,8 @@ def test_narrow_i0_builds_only_the_subspaces_of_its_cut_dims(monkeypatch):
         subspaces, "_rref_rows", lambda field, m, k: built.append((m, k)) or rref_rows(field, m, k)
     )
     for gens, cuts in (((2, 3, 4, 5, 6, 7), {1}), ((2, 3, 4, 5, 6), {1, 7})):
-        for cache in (cx.coset_space, cx.projection_indices, subspaces.enumerate_subspaces,
-                      subspaces._subspace_index, subspaces.subspaces_within,
-                      subspaces._coordinate_rows):
+        for cache in (cx.coset_space, subspaces.enumerate_subspaces, subspaces._subspace_index,
+                      subspaces.subspaces_within, subspaces._coordinate_rows):
             cache.cache_clear()
         built.clear()
         assert cx.verify_K(ParabolicType.from_gens(8, gens), 2).passed
@@ -172,6 +163,23 @@ def test_exact_rank_agrees_with_modular_probe_on_K_matrices():
     for m in complex_.maps:
         dense = [[row.get(c, 0) for c in range(m.cols)] for row in m.entries]
         assert m.rank() == rank_mod_prime(dense, 1_073_741_789)
+
+
+@pytest.mark.parametrize("d,q", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_build_K_maps_equal_the_pullback_blocks(d, q):
+    # the order complex of the flags, row for row the complex of pullbacks
+    # assembled block by block from the projections to J + s_i
+    for i0 in parabolic_types(d):
+        if not i0.is_full:
+            assert cx.build_K(i0, q).maps == induction_maps_by_pullback(i0, q)
+
+
+def test_order_complex_homology_sees_the_crown():
+    # a, b < c, d: the order complex is a 4-cycle, a circle, with reduced
+    # homology in degree 1 only; a chain of three elements is a simplex
+    crown = ((2, 3), (2, 3), (), ())
+    assert cx._order_complex_homology(crown) == (0, 0, 1)
+    assert cx._order_complex_homology(((1, 2), (2,), ())) == (0, 0, 0, 0)
 
 
 # -- stalks ---------------------------------------------------------------------
